@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"strings"
 	"syscall"
 
 	"discfs"
@@ -220,9 +221,15 @@ func splitForRemove(ctx context.Context, c *discfs.Client, path string) (discfs.
 	return attr.Handle, name, nil
 }
 
+// check exits on err, printing it once under the command's prefix —
+// the library's errors usually carry it already.
 func check(err error) {
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "discfs: %v\n", err)
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "discfs: ") {
+			msg = "discfs: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }

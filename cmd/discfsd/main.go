@@ -38,11 +38,8 @@ func main() {
 		numBlocks    = flag.Uint("blocks", 1<<18, "FFS device size in blocks")
 		auditFlag    = flag.Bool("audit", false, "write the audit log to stderr")
 		writeBehind  = flag.Bool("write-behind", false, "server-side unstable writes: gather WRITEs and flush via COMMIT")
-		dedupFlag    = flag.Bool("dedup", false, "content-addressed deduplicating store: chunk file data, store each unique chunk once (or pick a '+dedup' backend)")
-		wbQueue      = flag.Int("wb-queue", 1024, "write-behind queue bound in 8 KiB blocks (with -write-behind)")
-		wbCommitters = flag.Int("wb-committers", 2, "write-behind committer pool size (with -write-behind)")
-		maxTransfer  = flag.Int("max-transfer", discfs.DefaultMaxTransfer, "largest negotiated READ/WRITE payload in bytes (8192 pins NFSv2-era transfers)")
-		dirCursors   = flag.Int("dir-cursors", 0, "directory-cursor cache capacity: concurrent paged listings kept stable under mutation (0 = default 256)")
+		dedupFlag    = flag.Bool("dedup", false, "content-addressed deduplicating store: chunk file data, store each unique chunk once")
+		maxTransfer  = flag.Int("max-transfer", discfs.DefaultMaxTransfer, "largest negotiated READ/WRITE payload in bytes (8192 pins 8 KiB transfers)")
 		imagePath    = flag.String("image", "", "filesystem image: loaded at startup if present, saved on SIGINT/SIGTERM")
 		backend      = flag.String("backend", discfs.DefaultBackend, "storage backend (see discfs.Backends)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (empty disables)")
@@ -111,11 +108,8 @@ func main() {
 		discfs.WithCacheSize(*cacheSize),
 		discfs.WithServerMaxTransfer(*maxTransfer),
 	}
-	if *dirCursors > 0 {
-		opts = append(opts, discfs.WithServerDirCursors(*dirCursors))
-	}
 	if *writeBehind {
-		opts = append(opts, discfs.WithServerWriteBehind(*wbQueue, *wbCommitters))
+		opts = append(opts, discfs.WithServerWriteBehind())
 	}
 	if *dedupFlag {
 		opts = append(opts, discfs.WithServerDedup())

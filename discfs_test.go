@@ -74,35 +74,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-func TestDeprecatedConfigShims(t *testing.T) {
-	ctx := context.Background()
-	adminKey := discfs.DeterministicKey("shim-admin")
-	store, err := discfs.NewMemStoreFromConfig(discfs.StoreConfig{BlockSize: 4096, NumBlocks: 2048})
-	if err != nil {
-		t.Fatalf("NewMemStoreFromConfig: %v", err)
-	}
-	srv, err := discfs.NewServerFromConfig(discfs.ServerConfig{
-		Backing:   store,
-		ServerKey: adminKey,
-	})
-	if err != nil {
-		t.Fatalf("NewServerFromConfig: %v", err)
-	}
-	addr, err := srv.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	admin, err := discfs.Dial(ctx, addr, adminKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
-	if _, _, err := admin.WriteFile(ctx, "/legacy.txt", []byte("v1 shim")); err != nil {
-		t.Fatalf("WriteFile over shim-built server: %v", err)
-	}
-}
-
 func TestPublicAPIEncryptedStore(t *testing.T) {
 	store, err := discfs.NewMemStore(
 		discfs.WithEncryption("correct horse battery staple"),
@@ -128,7 +99,7 @@ func TestPublicAPIEncryptedStore(t *testing.T) {
 
 func TestBackendRegistry(t *testing.T) {
 	names := discfs.Backends()
-	want := map[string]bool{"mem": false, "ffs": false, "ffs+dedup": false, "mem+dedup": false}
+	want := map[string]bool{"mem": false, "ffs": false}
 	for _, n := range names {
 		if _, ok := want[n]; ok {
 			want[n] = true

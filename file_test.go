@@ -222,6 +222,36 @@ func TestFileOpenModes(t *testing.T) {
 	}
 }
 
+// TestFileStatAfterTruncate: Stat reports the truncated size, not the
+// size cached when the file was opened.
+func TestFileStatAfterTruncate(t *testing.T) {
+	ctx := context.Background()
+	addr, key := streamServer(t)
+	c, err := discfs.Dial(ctx, addr, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.WriteFile(ctx, "/trunc.bin", make([]byte, 100000)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Open(ctx, "/trunc.bin", os.O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Truncate(10); err != nil {
+		t.Fatal(err)
+	}
+	attr, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attr.Size != 10 || f.Size() != 10 {
+		t.Errorf("after Truncate(10): Stat size %d, Size() %d; want 10", attr.Size, f.Size())
+	}
+}
+
 // blockingFS wraps a store and parks every Read until release is closed,
 // simulating a slow or wedged backend so cancellation can be observed
 // mid-RPC.

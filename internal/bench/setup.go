@@ -82,7 +82,7 @@ func SetupCFSNE() (*Setup, error) {
 		return nil, err
 	}
 	// Negotiate large transfers, as a modern kernel client would.
-	if _, err := client.Negotiate(context.Background(), 0); err != nil {
+	if _, _, err := client.Negotiate(context.Background(), 0); err != nil {
 		rpcSrv.Close()
 		return nil, err
 	}

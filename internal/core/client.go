@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"discfs/internal/fed"
 	"discfs/internal/keynote"
@@ -61,34 +60,6 @@ type Client struct {
 // A ClientOption configures Dial.
 type ClientOption func(*dataCacheConfig)
 
-// WithReadahead sets the number of cache blocks (one negotiated
-// transfer each — ~512 KiB by default, 8 KiB against v2-era servers) the
-// data cache prefetches ahead of a sequential read stream. n <= 0
-// disables readahead; the default scales DefaultReadahead's byte budget
-// to the granule.
-func WithReadahead(n int) ClientOption {
-	return func(cfg *dataCacheConfig) {
-		if n <= 0 {
-			n = -1
-		}
-		cfg.readahead = n
-	}
-}
-
-// WithWriteBehind sets the write-behind window: how many dirty cache
-// blocks (one negotiated transfer each) the data cache buffers
-// client-side before throttling writers. n <= 1 keeps at most one block
-// buffered; the default scales DefaultWriteBehind's byte budget to the
-// granule.
-func WithWriteBehind(n int) ClientOption {
-	return func(cfg *dataCacheConfig) {
-		if n < 1 {
-			n = 1
-		}
-		cfg.writeBehind = n
-	}
-}
-
 // WithNoDataCache disables the client-side data cache entirely: every
 // File read and write becomes one synchronous NFS RPC, as in v1. Errors
 // then surface on the call that hit them rather than at Sync/Close.
@@ -101,23 +72,10 @@ func WithNoDataCache() ClientOption {
 // The server grants at most its own configured maximum; the granted
 // size becomes the payload of every READ/WRITE RPC and the granule of
 // the data cache. The default proposal is nfs.DefaultMaxTransfer
-// (504 KiB); n = nfs.MaxData pins v2-era 8 KiB transfers. Under
-// federation each shard negotiates independently from this proposal.
+// (504 KiB); n = nfs.MaxData pins 8 KiB transfers. Under federation
+// each shard negotiates independently from this proposal.
 func WithMaxTransfer(n int) ClientOption {
 	return func(cfg *dataCacheConfig) { cfg.maxTransfer = nfs.ClampTransfer(n) }
-}
-
-// WithNameCacheTTL sets how long cached attributes, name lookups and
-// negative lookups stay valid before the client revalidates with the
-// server (the actimeo knob of kernel NFS clients). Shorter values see
-// remote changes sooner at the cost of more metadata RPCs; the default
-// is nfs.DefaultAttrTTL (3 s). d <= 0 keeps the default.
-func WithNameCacheTTL(d time.Duration) ClientOption {
-	return func(cfg *dataCacheConfig) {
-		if d > 0 {
-			cfg.attrTTL = d
-		}
-	}
 }
 
 // WithServers federates the namespace across additional servers: the
@@ -165,9 +123,9 @@ func WithGraft(path string, shard int) ClientOption {
 // A server that has revoked identity's key refuses the attach with an
 // error matching ErrRevoked.
 //
-// Options configure the client-side data cache (WithReadahead,
-// WithWriteBehind, WithNoDataCache) and, for federated deployments,
-// the shard set and routing (WithServers, WithShardSubtree, WithGraft).
+// Options configure the client-side data cache (WithNoDataCache,
+// WithMaxTransfer) and, for federated deployments, the shard set and
+// routing (WithServers, WithShardSubtree, WithGraft).
 func Dial(ctx context.Context, addr string, identity *keynote.KeyPair, opts ...ClientOption) (*Client, error) {
 	var cfg dataCacheConfig
 	for _, opt := range opts {

@@ -52,16 +52,14 @@ func DataCacheStats() (hits, misses uint64) {
 }
 
 const (
-	// DefaultReadahead is the number of blocks prefetched ahead of a
-	// detected sequential read stream, at the 8 KiB baseline granule
-	// (larger granules scale the count down by bytes; see normalized).
-	DefaultReadahead = 8
-	// DefaultWriteBehind is the write-behind window at the baseline
-	// granule: the number of dirty blocks buffered client-side before
-	// writers are throttled (4 MiB at the 8 KiB block size — a sliver
-	// of what kernel page caches allow via vm.dirty_ratio, but enough
-	// to absorb bursts whole).
-	DefaultWriteBehind = 512
+	// readaheadBytes is the byte budget prefetched ahead of a detected
+	// sequential read stream (8 blocks at the 8 KiB baseline granule).
+	readaheadBytes = 64 << 10
+	// writeBehindBytes is the write-behind window: the dirty bytes
+	// buffered client-side before writers are throttled (4 MiB — a
+	// sliver of what kernel page caches allow via vm.dirty_ratio, but
+	// enough to absorb bursts whole).
+	writeBehindBytes = 4 << 20
 	// maxFlushWorkers bounds the goroutines flushing one file's dirty
 	// blocks concurrently (concurrent WRITE RPCs pipeline through the
 	// connection and the server's per-record dispatch).
@@ -83,47 +81,21 @@ const (
 	partialFlushDelay = 50 * time.Millisecond
 )
 
-// dataCacheConfig parameterizes the cache; the zero value means
-// "enabled with defaults".
+// dataCacheConfig holds the client options; the zero value means
+// "data cache enabled, default transfer proposal, single server".
 type dataCacheConfig struct {
-	disabled    bool
-	readahead   int // blocks prefetched on sequential reads; <0 disables
-	writeBehind int // dirty-block window; <0 means write-through-ish (1)
+	disabled bool
 	// maxTransfer is the transfer size to propose at attach; 0 means
 	// nfs.DefaultMaxTransfer. The server's grant becomes the cache
 	// granule.
 	maxTransfer uint32
-	// attrTTL is the attribute/name cache lifetime (rides here because
-	// ClientOption closes over this struct); 0 means nfs.DefaultAttrTTL.
-	attrTTL time.Duration
-	// Federation (rides here for the same reason): extra shard servers,
-	// static path grafts, and the consistent-hash-sharded subtree. All
-	// empty for a classic single-server client.
+	// Federation (rides here because ClientOption closes over this
+	// struct): extra shard servers, static path grafts, and the
+	// consistent-hash-sharded subtree. All empty for a classic
+	// single-server client.
 	fedServers []string
 	fedGrafts  map[string]int
 	fedSubtree string
-}
-
-// normalized resolves defaults for a cache whose granule is bs bytes —
-// the connection's negotiated transfer size, so every full-block
-// readahead fetch and write-behind flush is exactly one maximal RPC.
-// Explicit option values count granules; the defaults are byte-scaled
-// from the 8 KiB baseline so a large granule does not inflate the
-// window (512 dirty blocks meant 4 MiB, not 256 MiB).
-func (cfg dataCacheConfig) normalized(bs int64) dataCacheConfig {
-	if cfg.readahead == 0 {
-		cfg.readahead = scaleBlocks(DefaultReadahead*int64(nfs.MaxData), bs, 2, DefaultReadahead)
-	}
-	if cfg.readahead < 0 {
-		cfg.readahead = 0
-	}
-	if cfg.writeBehind == 0 {
-		cfg.writeBehind = scaleBlocks(DefaultWriteBehind*int64(nfs.MaxData), bs, 4, DefaultWriteBehind)
-	}
-	if cfg.writeBehind < 1 {
-		cfg.writeBehind = 1
-	}
-	return cfg
 }
 
 // scaleBlocks converts a byte budget into whole granules within
@@ -189,12 +161,15 @@ type handleCache struct {
 	// bs is the cache granule: the connection's negotiated transfer
 	// size, so one full block moves as exactly one READ/WRITE RPC.
 	bs int64
-	// maxCached/maxUnstable are maxCachedBytes/maxUnstableBytes in
-	// granules.
+	// readahead, writeBehind, maxCached and maxUnstable are
+	// readaheadBytes, writeBehindBytes, maxCachedBytes and
+	// maxUnstableBytes in granules, so every full-block readahead fetch
+	// and write-behind flush is exactly one maximal RPC.
+	readahead   int
+	writeBehind int
 	maxCached   int
 	maxUnstable int
 
-	cfg      dataCacheConfig
 	blocks   map[int64]*cblock
 	fetching map[int64]*fetchState // in-flight block reads, for dedup
 	inval    uint64                // invalidation epoch: stale in-flight fetches aren't cached
@@ -213,17 +188,18 @@ type handleCache struct {
 	valSize  uint64
 	haveVal  bool
 
-	nDirty      int
-	nUnstable   int    // flushed-but-uncommitted blocks (see cblock.unstable)
-	commitVer   uint64 // server boot verifier observed at the last COMMIT
-	haveVer     bool
-	verFetching bool  // a flush worker is fetching the verifier baseline
-	committing  bool  // a writer-triggered intermediate COMMIT is in flight
-	lastWrite   int64 // block index of the most recent write; held back briefly to coalesce
-	draining    int   // >0: a Sync/Close is waiting, every dirty block is flush-eligible
-	timerArmed  bool
-	flushSeq    uint64 // bumped on every flush completion; orders GETATTRs vs flushes
-	werr        error  // first deferred write error since the last barrier
+	nDirty    int
+	nUnstable int // flushed-but-uncommitted blocks (see cblock.unstable)
+	// commitVer is the server boot verifier the unstable blocks were
+	// written under: the shard link's FSINFO value at creation, then
+	// the value seen at each COMMIT.
+	commitVer  uint64
+	committing bool  // a writer-triggered intermediate COMMIT is in flight
+	lastWrite  int64 // block index of the most recent write; held back briefly to coalesce
+	draining   int   // >0: a Sync/Close is waiting, every dirty block is flush-eligible
+	timerArmed bool
+	flushSeq   uint64 // bumped on every flush completion; orders GETATTRs vs flushes
+	werr       error  // first deferred write error since the last barrier
 
 	refs    int  // open Files
 	stopped bool // set when refs drop to zero or the client closes; workers exit once clean
@@ -270,9 +246,11 @@ func (c *Client) handleCacheFor(h vfs.Handle) *handleCache {
 		sh:          sh,
 		h:           h,
 		bs:          bs,
+		readahead:   scaleBlocks(readaheadBytes, bs, 2, readaheadBytes/nfs.MaxData),
+		writeBehind: scaleBlocks(writeBehindBytes, bs, 4, writeBehindBytes/nfs.MaxData),
 		maxCached:   scaleBlocks(maxCachedBytes, bs, 8, maxCachedBytes/nfs.MaxData),
 		maxUnstable: scaleBlocks(maxUnstableBytes, bs, 4, maxUnstableBytes/nfs.MaxData),
-		cfg:         c.dataCache.normalized(bs),
+		commitVer:   sh.link.Load().verf,
 		blocks:      make(map[int64]*cblock),
 		fetching:    make(map[int64]*fetchState),
 		lastWrite:   -1,
@@ -446,7 +424,7 @@ func (hc *handleCache) readAt(ctx context.Context, p []byte, off int64) (int, er
 	}
 	sequential := off == hc.raNext || off == 0
 	hc.raNext = off + int64(n)
-	if sequential && hc.cfg.readahead > 0 {
+	if sequential {
 		hc.readaheadLocked(ctx, last+1)
 	}
 	hc.mu.Unlock()
@@ -559,11 +537,11 @@ func (hc *handleCache) fetch(ctx context.Context, idx int64, fs *fetchState, epo
 	hc.mu.Unlock()
 }
 
-// readaheadLocked starts asynchronous fetches for up to cfg.readahead
+// readaheadLocked starts asynchronous fetches for up to hc.readahead
 // blocks from idx, skipping blocks already cached, in flight, or beyond
 // the server file.
 func (hc *handleCache) readaheadLocked(ctx context.Context, idx int64) {
-	for i := int64(0); i < int64(hc.cfg.readahead); i++ {
+	for i := int64(0); i < int64(hc.readahead); i++ {
 		k := idx + i
 		if uint64(k*hc.bs) >= hc.srvSize {
 			return
@@ -708,7 +686,7 @@ func (hc *handleCache) writeBlock(ctx context.Context, idx int64, bo int, p []by
 	// intermediate COMMIT (single-flight) so a streaming write's
 	// footprint stays bounded instead of pinning the whole file until
 	// Sync. Confirmed blocks become clean and evictable.
-	if hc.nUnstable >= hc.maxUnstable && !hc.committing && hc.haveVer && hc.werr == nil {
+	if hc.nUnstable >= hc.maxUnstable && !hc.committing && hc.werr == nil {
 		hc.committing = true
 		hc.commitBarrierLocked(ctx)
 		hc.committing = false
@@ -716,7 +694,7 @@ func (hc *handleCache) writeBlock(ctx context.Context, idx int64, bo int, p []by
 	// Write-behind window: wait for the flushers to catch up. A flush
 	// error drains its block, so this cannot wedge; the error itself is
 	// reported at the next barrier.
-	for hc.nDirty > hc.cfg.writeBehind && hc.werr == nil {
+	for hc.nDirty > hc.writeBehind && hc.werr == nil {
 		hc.cond.Wait()
 	}
 	hc.mu.Unlock()
@@ -728,11 +706,7 @@ func (hc *handleCache) writeBlock(ctx context.Context, idx int64, bo int, p []by
 // ensureWorkersLocked keeps the flush worker pool running while there
 // is (or may be) dirty data.
 func (hc *handleCache) ensureWorkersLocked() {
-	max := hc.cfg.writeBehind
-	if max > maxFlushWorkers {
-		max = maxFlushWorkers
-	}
-	for hc.workers < max {
+	for hc.workers < min(hc.writeBehind, maxFlushWorkers) {
 		id := hc.workers
 		hc.workers++
 		go hc.flushWorker(id)
@@ -750,7 +724,7 @@ func (hc *handleCache) flushEligibleLocked(idx int64, b *cblock) bool {
 	if b.dirtyEnd-b.dirtyOff >= int(hc.bs) {
 		return true
 	}
-	return hc.draining > 0 || hc.nDirty > hc.cfg.writeBehind || idx != hc.lastWrite
+	return hc.draining > 0 || hc.nDirty > hc.writeBehind || idx != hc.lastWrite
 }
 
 // pickDirtyLocked returns the lowest-offset flush-eligible block.
@@ -772,30 +746,6 @@ func (hc *handleCache) flushWorker(id int) {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	for {
-		// Establish the verifier baseline before the first flush ever
-		// completes: a WRITE acknowledged with no baseline would leave a
-		// server restart in the write-to-first-COMMIT window
-		// undetectable (our v2-style WRITE reply carries no verifier,
-		// so the baseline comes from a no-op COMMIT up front).
-		if !hc.haveVer && hc.werr == nil && hc.nDirty > 0 {
-			if hc.verFetching {
-				hc.cond.Wait()
-				continue
-			}
-			hc.verFetching = true
-			ctx := hc.flushCtx
-			hc.mu.Unlock()
-			_, ver, err := hc.sh.nfsc(ctx).Commit(ctx, hc.h)
-			hc.mu.Lock()
-			hc.verFetching = false
-			if err == nil {
-				hc.commitVer, hc.haveVer = ver, true
-			} else if hc.werr == nil {
-				hc.werr = fmt.Errorf("core: commit baseline: %w", hc.c.wireError(err))
-			}
-			hc.cond.Broadcast()
-			continue
-		}
 		idx, b := hc.pickDirtyLocked()
 		if b == nil {
 			if hc.stopped && hc.nDirty == 0 {
@@ -913,7 +863,7 @@ func (hc *handleCache) commitBarrierLocked(ctx context.Context) (retry bool) {
 		}
 		return false // unstable blocks stay pinned for the next barrier
 	}
-	if hc.haveVer && ver != hc.commitVer {
+	if ver != hc.commitVer {
 		hc.commitVer = ver
 		// Replay: everything uncommitted may have been lost.
 		for _, b := range hc.blocks {
@@ -933,7 +883,6 @@ func (hc *handleCache) commitBarrierLocked(ctx context.Context) (retry bool) {
 		hc.cond.Broadcast()
 		return true
 	}
-	hc.commitVer, hc.haveVer = ver, true
 	for _, b := range hc.blocks {
 		if b.unstable && b.flushedSeq <= snapSeq {
 			b.unstable = false

@@ -16,9 +16,9 @@ import (
 // File is a streaming handle on a remote DisCFS file. It implements
 // io.Reader, io.Writer, io.Seeker, io.ReaderAt, io.WriterAt and
 // io.Closer, chunking transfers into NFS READ/WRITE calls of at most
-// the connection's negotiated transfer size each (512 KiB by default,
-// 8 KiB against v2-era servers), so arbitrarily large files move
-// without ever being buffered whole on either side.
+// the connection's negotiated transfer size each (504 KiB by default),
+// so arbitrarily large files move without ever being buffered whole on
+// either side.
 //
 // Unless the client was dialed with WithNoDataCache, file I/O runs
 // through a client-side block cache with sequential readahead and
@@ -438,7 +438,9 @@ func (f *File) Truncate(size int64) error {
 	}
 	sa := nfs.NewSAttr()
 	sa.Size = uint32(size)
-	attr, err := f.sh.nfsc(f.ctx).SetAttr(f.ctx, f.h, sa)
+	// Through the attribute cache, so the reply replaces the size
+	// cached at open and Stat sees the truncation.
+	attr, err := f.sh.attrc(f.ctx).SetAttr(f.ctx, f.h, sa)
 	if err != nil {
 		return f.c.wireError(err)
 	}

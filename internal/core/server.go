@@ -91,13 +91,9 @@ type ServerConfig struct {
 	// into a write-gathering queue and returns immediately; background
 	// committers coalesce adjacent blocks into large backing writes; the
 	// COMMIT procedure is the durability barrier (NFSv3 semantics with
-	// verifier-based restart detection). Off by default.
+	// verifier-based restart detection). The queue holds up to 8 MiB of
+	// dirty data, drained by two background committers. Off by default.
 	WriteBehind bool
-	// WriteBehindQueue bounds the buffered dirty data in 8 KiB blocks
-	// (writers throttle beyond it); 0 means 1024 (8 MiB).
-	WriteBehindQueue int
-	// Committers sizes the background committer pool; 0 means 2.
-	Committers int
 
 	// Dedup wraps Backing in the content-addressed deduplicating store
 	// layer (internal/dedup): file data is split into content-defined
@@ -106,8 +102,9 @@ type ServerConfig struct {
 	// mutations. Stacks *under* the write-gathering queue, so committers
 	// hand whole coalesced runs to the chunker. The average chunk size
 	// tracks the negotiated transfer size (MaxTransfer/8). If Backing is
-	// already a *dedup.FS (the "+dedup" backend variants), that layer is
-	// adopted instead of double-wrapping. Off by default.
+	// already a *dedup.FS (a caller that keeps its own handle on the
+	// layer), that layer is adopted instead of double-wrapping. Off by
+	// default.
 	Dedup bool
 
 	// MaxTransfer bounds the READ/WRITE payload this server grants
@@ -115,17 +112,10 @@ type ServerConfig struct {
 	// the wire), in bytes. 0 means nfs.DefaultMaxTransfer (504 KiB, the
 	// largest payload whose record fits the 512 KiB buffer-pool class);
 	// values clamp to [nfs.MaxData, nfs.MaxTransferLimit]. Set to
-	// nfs.MaxData to pin v2-era 8 KiB transfers. The write-gathering
-	// run size follows it, so coalesced backing writes match what one
-	// RPC can carry.
+	// nfs.MaxData to pin 8 KiB transfers. The write-gathering run size
+	// follows it, so coalesced backing writes match what one RPC can
+	// carry.
 	MaxTransfer int
-
-	// DirCursors bounds the server-side directory-cursor cache: the LRU
-	// of listing snapshots that keeps READDIR/READDIRPLUS paging stable
-	// under concurrent mutation. Each live cursor pins one directory
-	// listing in memory; a walk whose cursor was evicted restarts
-	// transparently. 0 means nfs.DefaultDirCursors (256).
-	DirCursors int
 
 	// LimitDefault applies per-principal admission control to every
 	// data-plane NFS request: a token-bucket rate and an in-flight cap
@@ -365,8 +355,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	var gather *nfs.GatherFS
 	if cfg.WriteBehind {
 		gather = nfs.NewGatherFS(backing, nfs.GatherConfig{
-			QueueBlocks: cfg.WriteBehindQueue,
-			Committers:  cfg.Committers,
 			// Coalesced backing runs match the negotiated transfer, so a
 			// full run is exactly what one large RPC carries.
 			MaxRunBlocks: int(maxTransfer) / nfs.MaxData,
@@ -415,9 +403,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	ns := nfs.NewServer(s)
 	s.ns = ns
 	ns.SetMaxTransfer(int(maxTransfer))
-	if cfg.DirCursors != 0 {
-		ns.SetDirCursorCap(cfg.DirCursors)
-	}
+	ns.SetVerifier(s.Verifier)
 	ns.SetObserver(s.observeNFS)
 	if s.lim != nil {
 		ns.SetAdmit(s.admitNFS)
@@ -427,6 +413,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.registerExt(s.rpc)
 	s.feed.start()
 	return s, nil
+}
+
+// Verifier reports the server's boot verifier: the write-gathering
+// layer's, or 0 without write-behind (nothing volatile to lose). FSINFO
+// hands it to clients at attach; COMMIT returns the same value.
+func (s *Server) Verifier() uint64 {
+	if s.gather == nil {
+		return 0
+	}
+	return s.gather.Verifier()
 }
 
 // initMetrics builds the operations-plane registry: the request path

@@ -71,8 +71,8 @@ type shard struct {
 
 	// xfer is this shard's negotiated per-RPC transfer size: the
 	// payload of one READ/WRITE and the granule of its data caches.
-	// Shards negotiate independently — a v2-era shard serves 8 KiB
-	// while its peers serve 504 KiB.
+	// Shards negotiate independently — a shard pinned to 8 KiB keeps
+	// that granule while its peers serve 504 KiB.
 	xfer   uint32
 	server keynote.Principal
 
@@ -90,6 +90,9 @@ type shardLink struct {
 	nfs   *nfs.Client
 	attrs *nfs.CachingClient
 	root  vfs.Handle // mount root, shard-tagged
+	// verf is the server's boot verifier at attach (FSINFO): the
+	// baseline new data caches check their first COMMIT against.
+	verf uint64
 }
 
 // dialShard brings up the initial connection to one server.
@@ -107,7 +110,7 @@ func dialShard(ctx context.Context, c *Client, id int, addr string) (*shard, err
 
 // connect dials the shard's server and brings up a complete link:
 // secure channel, RPC and NFS clients (stamped with the shard id for
-// handle tagging), mount, transfer-size negotiation, attribute cache.
+// handle tagging), mount, FSINFO handshake, attribute cache.
 func (sh *shard) connect(ctx context.Context, propose uint32) (*shardLink, uint32, error) {
 	conn, err := secchan.DialContext(ctx, sh.addr, secchan.Config{Identity: sh.c.identity})
 	if err != nil {
@@ -125,11 +128,9 @@ func (sh *shard) connect(ctx context.Context, propose uint32) (*shardLink, uint3
 		rpc.Close()
 		return nil, 0, fmt.Errorf("core: mount %s: %w", sh.addr, err)
 	}
-	// Negotiate the connection's transfer size (FSINFO-style): the
-	// client proposes, the server clamps. Servers predating the
-	// extension grant the v2 baseline; only a transport failure is an
-	// error.
-	xfer, err := nc.Negotiate(ctx, propose)
+	// FSINFO: the client proposes a transfer size, the server clamps
+	// it and reports its boot verifier.
+	xfer, verf, err := nc.Negotiate(ctx, propose)
 	if err != nil {
 		rpc.Close()
 		return nil, 0, fmt.Errorf("core: negotiate transfer size: %w", err)
@@ -138,8 +139,9 @@ func (sh *shard) connect(ctx context.Context, propose uint32) (*shardLink, uint3
 		conn:  conn,
 		rpc:   rpc,
 		nfs:   nc,
-		attrs: nfs.NewCachingClient(nc, sh.c.dataCache.attrTTL),
+		attrs: nfs.NewCachingClient(nc, 0),
 		root:  root,
+		verf:  verf,
 	}, xfer, nil
 }
 

@@ -14,8 +14,11 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
+	"discfs/internal/ffs"
 	"discfs/internal/keynote"
+	"discfs/internal/vfs"
 )
 
 // regionSize is deliberately not block-aligned, so adjacent workers
@@ -282,9 +285,7 @@ func TestCommitVerifierReplay(t *testing.T) {
 	ctx := context.Background()
 	serverKey := keynote.DeterministicKey("stress-admin")
 	srv, addr := testServer(t, ServerConfig{ServerKey: serverKey, WriteBehind: true})
-	// A tiny write-behind window makes the client flush eagerly, so
-	// blocks become unstable (flushed, uncommitted) before Sync runs.
-	c := dialAsWith(t, addr, "stress-admin", WithWriteBehind(1))
+	c := dialAs(t, addr, "stress-admin")
 
 	f, err := c.Open(ctx, "/replay.dat", os.O_CREATE|os.O_RDWR)
 	if err != nil {
@@ -297,8 +298,8 @@ func TestCommitVerifierReplay(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Write a larger span; the 1-block window forces most of it to
-	// flush (unstable) before the barrier.
+	// Write a larger span; it stays dirty in one cache block until the
+	// barrier flushes it.
 	want := make([]byte, 10*8192)
 	for i := range want {
 		want[i] = byte(i * 13)
@@ -307,8 +308,9 @@ func TestCommitVerifierReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Server "restart": new verifier, buffered-but-uncommitted writes
-	// lost. The client's flushed WRITEs that still sat in the gather
-	// queue are gone.
+	// lost. The next barrier's WRITE lands after it, but the COMMIT
+	// still reports a verifier other than the one the file was opened
+	// under, so the client replays.
 	srv.gather.Reboot(true)
 	if err := f.Sync(); err != nil {
 		t.Fatalf("Sync with replay: %v", err)
@@ -334,5 +336,111 @@ func TestCommitVerifierReplay(t *testing.T) {
 	st := srv.Stats()
 	if st.Commits < 2 {
 		t.Errorf("commits = %d, want >= 2", st.Commits)
+	}
+}
+
+// gatedWriteFS parks every backing Write until open is closed; entered
+// is closed when the first Write arrives.
+type gatedWriteFS struct {
+	vfs.FS
+	entered, open chan struct{}
+	once          sync.Once
+}
+
+func (g *gatedWriteFS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.open
+	return g.FS.Write(h, off, data)
+}
+
+// TestCommitVerifierReplayFirstWrite: the server restarts between a
+// file's first WRITEs and its first COMMIT, dropping WRITEs it already
+// acknowledged. The file's first COMMIT must still see a moved verifier
+// and replay them.
+func TestCommitVerifierReplayFirstWrite(t *testing.T) {
+	ctx := context.Background()
+	under, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 16384})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedWriteFS{FS: under, entered: make(chan struct{}), open: make(chan struct{})}
+	srv, addr := testServer(t, ServerConfig{
+		Backing:     gate,
+		ServerKey:   keynote.DeterministicKey("stress-admin"),
+		WriteBehind: true,
+	})
+	c := dialAs(t, addr, "stress-admin")
+
+	f, err := c.Open(ctx, "/first.dat", os.O_CREATE|os.O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three full cache blocks: each flushes as one WRITE. The first
+	// fills a gather run and parks in the backing store; the others
+	// stay queued behind it.
+	const blocks = 3
+	want := make([]byte, blocks*c.MaxTransfer())
+	for i := range want {
+		want[i] = byte(i*7 + i>>12)
+	}
+	if _, err := f.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no WRITE reached the backing store")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.gather.Stats().WritesGathered < blocks {
+		if time.Now().After(deadline) {
+			t.Fatalf("server acknowledged %d of %d WRITEs", srv.gather.Stats().WritesGathered, blocks)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := srv.gather.Stats(); st.QueueDepth == 0 {
+		t.Fatalf("before restart: %+v, want acknowledged WRITEs queued", st)
+	}
+	srv.gather.Reboot(true)
+	close(gate.open)
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close with replay: %v", err)
+	}
+
+	got, err := dialAs(t, addr, "stress-admin").ReadFile(ctx, "/first.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		d := 0
+		for d < len(got) && d < len(want) && got[d] == want[d] {
+			d++
+		}
+		t.Fatalf("replayed content differs at byte %d of %d (got len %d)", d, len(want), len(got))
+	}
+}
+
+// TestCommitVerifierFromAttach: the attach handshake carries the
+// server's boot verifier, and the data cache starts from it, so a
+// file's Close issues exactly one COMMIT — no baseline probe.
+func TestCommitVerifierFromAttach(t *testing.T) {
+	ctx := context.Background()
+	srv, addr := testServer(t, ServerConfig{WriteBehind: true})
+	c := dialAs(t, addr, "test-admin")
+	if got, want := c.primary().link.Load().verf, srv.Verifier(); got != want || want == 0 {
+		t.Fatalf("attach verifier %#x, server verifier %#x", got, want)
+	}
+	f, err := c.Open(ctx, "/once.dat", os.O_CREATE|os.O_WRONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(bytes.Repeat([]byte{0x5A}, 3*8192)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Stats().Commits; n != 1 {
+		t.Errorf("COMMITs for one Close = %d, want 1", n)
 	}
 }

@@ -191,9 +191,8 @@ func (c *CachingClient) Revalidate(ctx context.Context, h vfs.Handle) (vfs.Attr,
 
 // Lookup serves from cache within the TTL — including cached misses,
 // which answer ErrNoEnt without an RPC. A cache miss goes to the
-// compound LOOKUPPLUS when the server speaks it (one round trip fills
-// the child's attributes, the directory's attributes and — on a miss —
-// a negative entry), falling back to plain LOOKUP otherwise.
+// compound LOOKUPPLUS: one round trip fills the child's attributes,
+// the directory's attributes and — on a miss — a negative entry.
 func (c *CachingClient) Lookup(ctx context.Context, dir vfs.Handle, name string) (vfs.Attr, error) {
 	key := lookupKey{dir, name}
 	c.mu.Lock()
@@ -211,32 +210,14 @@ func (c *CachingClient) Lookup(ctx context.Context, dir vfs.Handle, name string)
 	gen := c.gen
 	c.mu.Unlock()
 
-	var (
-		a, dirA vfs.Attr
-		haveDir bool
-		err     error
-	)
-	if !c.plusUnavail.Load() {
-		var r LookupPlusResult
-		r, err = c.Client.LookupPlus(ctx, dir, name)
-		if isProcUnavail(err) {
-			c.plusUnavail.Store(true)
-		} else {
-			a, dirA, haveDir = r.Attr, r.Dir, true
-		}
-	}
-	if c.plusUnavail.Load() {
-		a, err = c.Client.Lookup(ctx, dir, name)
-	}
+	r, err := c.Client.LookupPlus(ctx, dir, name)
 	if err != nil {
 		if StatOf(err) == ErrNoEnt {
 			c.mu.Lock()
 			if c.gen == gen {
 				exp := c.now().Add(c.ttl)
 				c.negs[key] = negEntry{expires: exp}
-				if haveDir {
-					c.attrs[dir] = attrEntry{attr: dirA, expires: exp}
-				}
+				c.attrs[dir] = attrEntry{attr: r.Dir, expires: exp}
 			}
 			c.mu.Unlock()
 		}
@@ -245,14 +226,12 @@ func (c *CachingClient) Lookup(ctx context.Context, dir vfs.Handle, name string)
 	c.mu.Lock()
 	if c.gen == gen {
 		exp := c.now().Add(c.ttl)
-		c.looks[key] = lookupEntry{attr: a, expires: exp}
-		c.attrs[a.Handle] = attrEntry{attr: a, expires: exp}
-		if haveDir {
-			c.attrs[dir] = attrEntry{attr: dirA, expires: exp}
-		}
+		c.looks[key] = lookupEntry{attr: r.Attr, expires: exp}
+		c.attrs[r.Attr.Handle] = attrEntry{attr: r.Attr, expires: exp}
+		c.attrs[dir] = attrEntry{attr: r.Dir, expires: exp}
 	}
 	c.mu.Unlock()
-	return a, nil
+	return r.Attr, nil
 }
 
 // ReadDirPlusAll lists dir with piggybacked attributes and bulk-installs

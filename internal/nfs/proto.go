@@ -50,13 +50,12 @@ const (
 	// storage; the reply carries the boot verifier so clients detect a
 	// restart that lost buffered writes and replay them).
 	ProcCommit = 18
-	// ProcFSInfo is the FSINFO-style transfer-size negotiation, the
-	// second extension slot: the client proposes the largest READ/WRITE
-	// payload it wants to use, the server clamps the proposal to its
-	// configured maximum and replies with the granted size. Servers
-	// predating the extension answer PROC_UNAVAIL, which clients treat
-	// as a grant of the v2 baseline (MaxData, 8 KiB) — see
-	// Client.Negotiate.
+	// ProcFSInfo is the FSINFO-style attach handshake, the second
+	// extension slot: the client proposes the largest READ/WRITE payload
+	// it wants to use, the server clamps the proposal to its configured
+	// maximum and replies with the granted size, its own bound and its
+	// current boot verifier — the baseline a client checks every later
+	// COMMIT against. See Client.Negotiate.
 	ProcFSInfo = 19
 	// ProcReaddirPlus is the batched metadata extension (NFSv3
 	// READDIRPLUS in spirit): one call returns a page of directory
@@ -65,15 +64,12 @@ const (
 	// against a cookie verifier naming a server-side snapshot of the
 	// listing. A verifier the server no longer holds answers
 	// ErrBadCookie and the client restarts the walk from cookie 0.
-	// Servers predating the extension answer PROC_UNAVAIL; clients fall
-	// back to READDIR + per-name LOOKUP.
 	ProcReaddirPlus = 20
 	// ProcLookupPlus is the compound LOOKUP+GETATTR+ACCESS extension:
 	// one call resolves a name and returns the directory's attributes,
 	// the child's handle and attributes, and the caller's access bits on
 	// the child. A miss (ErrNoEnt) still carries the directory's
 	// attributes so clients can scope negative name-cache entries.
-	// PROC_UNAVAIL falls back to plain LOOKUP.
 	ProcLookupPlus = 21
 )
 
@@ -144,9 +140,7 @@ const (
 // ErrTryLater is a protocol extension (both ends of this protocol are
 // ours): the server's admission control rejected the request and the
 // client should back off and retry. The value matches NFSv3's
-// NFS3ERR_JUKEBOX (10008), the closest standard analogue — servers
-// predating the extension never emit it, and clients predating it
-// surface a generic error rather than misreading a v2 code.
+// NFS3ERR_JUKEBOX (10008), the closest standard analogue.
 const ErrTryLater Stat = 10008
 
 // ErrXDev reports a cross-device operation: under federation, a RENAME
@@ -261,9 +255,8 @@ func MapError(err error) Stat {
 // FHSize is the fixed NFSv2 file handle size.
 const FHSize = 32
 
-// MaxData is the NFSv2 baseline READ/WRITE transfer size: the fallback
-// every connection starts from, and all an un-negotiated (v2-era) peer
-// ever uses.
+// MaxData is the NFSv2 baseline READ/WRITE transfer size: the size
+// every connection starts from before Negotiate, and the smallest grant.
 const MaxData = 8192
 
 // Negotiated transfer bounds (see ProcFSInfo). DefaultMaxTransfer is

@@ -23,7 +23,7 @@ func startStackExt(t *testing.T) (*Client, *ffs.FFS, *Server) {
 	if err != nil {
 		t.Fatalf("ffs.New: %v", err)
 	}
-	c, srv, _ := startStackWith(t, backing, false)
+	c, srv, _ := startStackWith(t, backing)
 	return c, backing, srv
 }
 
@@ -40,9 +40,8 @@ func (p *procCounter) get(proc uint32) int {
 }
 
 // startStackWith exports srvFS through a wire handler that counts every
-// call; with legacy true it answers PROC_UNAVAIL for the extension
-// procedures, emulating a server predating READDIRPLUS/LOOKUPPLUS.
-func startStackWith(t *testing.T, srvFS vfs.FS, legacy bool) (*Client, *Server, *procCounter) {
+// call.
+func startStackWith(t *testing.T, srvFS vfs.FS) (*Client, *Server, *procCounter) {
 	t.Helper()
 	srv := NewServer(StaticExport{FS: srvFS})
 	rpcSrv := sunrpc.NewServer()
@@ -52,9 +51,6 @@ func startStackWith(t *testing.T, srvFS vfs.FS, legacy bool) (*Client, *Server, 
 		cnt.mu.Lock()
 		cnt.n[proc]++
 		cnt.mu.Unlock()
-		if legacy && proc >= ProcReaddirPlus {
-			return sunrpc.ProcUnavail, nil
-		}
 		return srv.dispatch(ctx, proc, args, res)
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -488,7 +484,7 @@ func TestReadDirPlusRevocationMidWalk(t *testing.T) {
 	}
 	g := &gatedFS{FS: backing}
 	g.allow.Store(true)
-	c, _, _ := startStackWith(t, g, false)
+	c, _, _ := startStackWith(t, g)
 	root, err := c.Mount(ctx, "/export")
 	if err != nil {
 		t.Fatal(err)
@@ -506,56 +502,6 @@ func TestReadDirPlusRevocationMidWalk(t *testing.T) {
 	}
 }
 
-// TestReadDirPlusFallbackLegacyServer: against a server that answers
-// PROC_UNAVAIL, ReadDirPlusAll degrades to READDIR + per-name LOOKUP
-// with the same result, and the client latches the downgrade instead of
-// re-probing every call.
-func TestReadDirPlusFallbackLegacyServer(t *testing.T) {
-	ctx := context.Background()
-	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _, cnt := startStackWith(t, backing, true)
-	root, err := c.Mount(ctx, "/export")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := mkdirWithFiles(t, backing, root, "d", "f", 8)
-
-	for round := 0; round < 2; round++ {
-		dirA, ents, err := c.ReadDirPlusAll(ctx, dir)
-		if err != nil {
-			t.Fatalf("ReadDirPlusAll round %d: %v", round, err)
-		}
-		if dirA.Handle != dir || len(ents) != 8 {
-			t.Fatalf("round %d: dir %v, %d entries", round, dirA.Handle, len(ents))
-		}
-		for _, e := range ents {
-			if !e.HasAttr {
-				t.Errorf("round %d: fallback entry %q has no attributes", round, e.Name)
-			}
-		}
-	}
-	if !c.plusUnavail.Load() {
-		t.Error("client did not latch the downgrade")
-	}
-	if n := cnt.get(ProcReaddirPlus); n != 1 {
-		t.Errorf("READDIRPLUS probed %d times, want 1 (latched)", n)
-	}
-
-	// The caching client's LookupPlus path downgrades over the same
-	// latch.
-	cc := NewCachingClient(c, time.Minute)
-	a, err := cc.Lookup(ctx, dir, "f03")
-	if err != nil {
-		t.Fatalf("caching Lookup on legacy server: %v", err)
-	}
-	if a.Type != vfs.TypeRegular {
-		t.Errorf("lookup type %v", a.Type)
-	}
-}
-
 // TestCachingNegativeLookup: a lookup miss is cached — the second miss
 // answers from the negative cache without an RPC — and creating the
 // name clears it.
@@ -565,7 +511,7 @@ func TestCachingNegativeLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, cnt := startStackWith(t, backing, false)
+	c, _, cnt := startStackWith(t, backing)
 	root, err := c.Mount(ctx, "/export")
 	if err != nil {
 		t.Fatal(err)
@@ -598,7 +544,7 @@ func TestCachingBulkInstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, cnt := startStackWith(t, backing, false)
+	c, _, cnt := startStackWith(t, backing)
 	root, err := c.Mount(ctx, "/export")
 	if err != nil {
 		t.Fatal(err)

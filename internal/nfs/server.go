@@ -51,6 +51,10 @@ type Server struct {
 	// observe, when set, receives every completed data-plane call with
 	// its procedure, resulting status and latency.
 	observe func(proc uint32, st Stat, d time.Duration)
+	// verifier, when set, reports the boot verifier FSINFO hands
+	// clients; unset means the stable zero of a store with nothing
+	// volatile.
+	verifier func() uint64
 }
 
 // SetAdmit installs the per-peer admission hook (the server-side
@@ -60,6 +64,11 @@ func (s *Server) SetAdmit(fn func(peer string, proc uint32) (func(), error)) { s
 // SetObserver installs the per-call completion observer (the metrics
 // seam). Call before serving.
 func (s *Server) SetObserver(fn func(proc uint32, st Stat, d time.Duration)) { s.observe = fn }
+
+// SetVerifier installs the source of the boot verifier reported by
+// FSINFO. It must match what COMMIT returns (see Committer). Call before
+// serving.
+func (s *Server) SetVerifier(fn func() uint64) { s.verifier = fn }
 
 // NewServer creates an NFS server over exp, granting negotiated
 // transfers up to DefaultMaxTransfer (SetMaxTransfer adjusts).
@@ -79,8 +88,8 @@ func (s *Server) DirCursorCount() int { return s.cursors.count() }
 
 // SetMaxTransfer bounds the transfer size this server grants during
 // FSINFO negotiation (and accepts on the wire), clamped to
-// [MaxData, MaxTransferLimit]. Setting it to MaxData pins v2-era 8 KiB
-// behavior. Call before serving.
+// [MaxData, MaxTransferLimit]. Setting it to MaxData pins 8 KiB
+// transfers. Call before serving.
 func (s *Server) SetMaxTransfer(n int) { s.maxTransfer = ClampTransfer(n) }
 
 // MaxTransfer reports the configured transfer bound.
@@ -210,10 +219,11 @@ func (s *Server) serve(ctx *sunrpc.Context, proc uint32, args *xdr.Decoder, res 
 	return sunrpc.Success, h.stat, nil
 }
 
-// fsinfo answers the transfer-size negotiation: the grant is the
-// client's proposal clamped to this server's bound. Stateless — the
-// server accepts anything up to its own bound regardless of what a
-// connection negotiated, so the grant is purely the client's license.
+// fsinfo answers the attach handshake: the grant is the client's
+// proposal clamped to this server's bound, followed by the bound and
+// the boot verifier. Stateless — the server accepts anything up to its
+// own bound regardless of what a connection negotiated, so the grant is
+// purely the client's license.
 func (s *Server) fsinfo(args *xdr.Decoder, res *xdr.Encoder) (sunrpc.AcceptStat, error) {
 	proposed := args.Uint32()
 	if args.Err() != nil {
@@ -226,6 +236,11 @@ func (s *Server) fsinfo(args *xdr.Decoder, res *xdr.Encoder) (sunrpc.AcceptStat,
 	res.Uint32(uint32(OK))
 	res.Uint32(granted)
 	res.Uint32(s.maxTransfer) // the server's own bound, for diagnostics
+	var verf uint64
+	if s.verifier != nil {
+		verf = s.verifier()
+	}
+	res.Uint64(verf)
 	return sunrpc.Success, nil
 }
 

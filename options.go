@@ -43,15 +43,10 @@ func WithAdmins(admins ...Principal) ServerOption {
 }
 
 // WithCacheSize bounds the policy decision cache; the paper used 128
-// (the default). Negative disables caching.
+// (the default). Negative disables caching. Cached decisions under
+// time-dependent policies expire after one minute.
 func WithCacheSize(n int) ServerOption {
 	return func(o *serverOptions) { o.cfg.CacheSize = n }
-}
-
-// WithCacheTTL bounds staleness of cached decisions under time-dependent
-// policies (default one minute).
-func WithCacheTTL(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.cfg.CacheTTL = d }
 }
 
 // WithAudit routes access decisions to log instead of a fresh in-memory
@@ -62,21 +57,14 @@ func WithAudit(log *AuditLog) ServerOption {
 
 // WithServerWriteBehind enables server-side unstable writes (NFSv3
 // semantics on this server's protocol): WRITE buffers into a per-file
-// write-gathering queue and returns immediately, background committers
-// coalesce adjacent 8 KiB blocks into large backing-store writes, and
-// the COMMIT procedure — driven by the client's Sync/Close barrier — is
-// the durability point, with a boot verifier so clients detect a
-// restart that lost buffered writes and replay them.
-//
-// queueBlocks bounds the buffered dirty data in 8 KiB blocks (writers
-// throttle beyond it; 0 means 1024, i.e. 8 MiB). committers sizes the
-// background flush pool (0 means 2).
-func WithServerWriteBehind(queueBlocks, committers int) ServerOption {
-	return func(o *serverOptions) {
-		o.cfg.WriteBehind = true
-		o.cfg.WriteBehindQueue = queueBlocks
-		o.cfg.Committers = committers
-	}
+// write-gathering queue (up to 8 MiB, writers throttle beyond it) and
+// returns immediately, two background committers coalesce adjacent
+// 8 KiB blocks into large backing-store writes, and the COMMIT
+// procedure — driven by the client's Sync/Close barrier — is the
+// durability point, with a boot verifier so clients detect a restart
+// that lost buffered writes and replay them.
+func WithServerWriteBehind() ServerOption {
+	return func(o *serverOptions) { o.cfg.WriteBehind = true }
 }
 
 // WithServerDedup stacks the content-addressed deduplicating store
@@ -88,7 +76,6 @@ func WithServerWriteBehind(queueBlocks, committers int) ServerOption {
 // hand whole coalesced runs to the chunker off the acknowledgment
 // path. A background sweeper reclaims chunks once no file references
 // them. The average chunk size tracks the negotiated transfer size.
-// Equivalent to choosing a "+dedup" backend variant with WithBackend.
 func WithServerDedup() ServerOption {
 	return func(o *serverOptions) { o.cfg.Dedup = true }
 }
@@ -101,19 +88,9 @@ func WithServerDedup() ServerOption {
 // (WithMaxTransfer) and the server clamps the proposal to this bound;
 // the granted size is the payload of every READ/WRITE RPC on the
 // connection and the write-gathering run size on the server. Setting
-// 8192 pins v2-era behavior.
+// 8192 pins 8 KiB transfers.
 func WithServerMaxTransfer(n int) ServerOption {
 	return func(o *serverOptions) { o.cfg.MaxTransfer = n }
-}
-
-// WithServerDirCursors bounds the server's directory-cursor cache: the
-// LRU of listing snapshots that keeps paged READDIR/READDIRPLUS walks
-// stable while other clients mutate the directory. Each live cursor
-// pins one listing in memory; a walk whose cursor was evicted under
-// pressure restarts transparently on the client. n <= 0 — and the
-// default — means 256.
-func WithServerDirCursors(n int) ServerOption {
-	return func(o *serverOptions) { o.cfg.DirCursors = n }
 }
 
 // WithClock injects a clock for tests and benchmarks.
@@ -130,8 +107,9 @@ type Limits = core.Limits
 // data-plane NFS request, keyed by the authenticated secure-channel
 // principal: each principal gets its own token bucket (rps sustained,
 // burst capacity; burst 0 defaults to rps) and in-flight cap. Requests
-// over budget wait briefly, then fail with ErrThrottled — one hot
-// client is pinned to its budget instead of starving the rest.
+// over budget wait briefly (up to 250 ms), then fail with ErrThrottled
+// — one hot client is pinned to its budget instead of starving the
+// rest.
 func WithServerLimits(rps float64, burst float64, inflight int) ServerOption {
 	return func(o *serverOptions) {
 		o.cfg.LimitDefault = Limits{RPS: rps, Burst: burst, InFlight: inflight}
@@ -150,35 +128,19 @@ func WithServerLimitOverride(p Principal, l Limits) ServerOption {
 	}
 }
 
-// WithServerLimitMaxWait bounds how long an over-budget request is
-// delayed (shaped) before being rejected with ErrThrottled; 0 keeps
-// the default (250ms).
-func WithServerLimitMaxWait(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.cfg.LimitMaxWait = d }
-}
-
 // WithServerPeers joins this server to a federation revocation feed:
 // every revocation applied here (locally by an admin, or learned from
 // a peer) is pushed to each listed peer server, with anti-entropy on
 // (re)connect so a peer that was down during the admin action converges
 // before serving its next authenticated session. Each peer must accept
 // this server's key as an administrator (federations either share the
-// server key or cross-register keys with WithAdmins). An empty list
-// disables pushing; pushes from peers are always accepted (admin-gated).
+// server key or cross-register keys with WithAdmins). After a partition
+// heals, new non-admin sessions wait up to 2 s for the feed to pull
+// from its peers, so a principal revoked meanwhile is refused before it
+// is served. An empty list disables pushing; pushes from peers are
+// always accepted (admin-gated).
 func WithServerPeers(addrs ...string) ServerOption {
 	return func(o *serverOptions) { o.cfg.Peers = append(o.cfg.Peers, addrs...) }
-}
-
-// WithServerPeerSyncWait bounds how long the secure-channel handshake
-// gate waits for the revocation feed to sync with unsynced peers before
-// admitting a non-admin principal (default 2s). After a partition heals,
-// the gate holds the rejoining server's first handshakes until it has
-// pulled the log from its peers — so a principal revoked during the
-// partition is refused before it is served a single operation. Peers
-// that stay unreachable release the gate after one failed attempt
-// (availability wins under partition). Negative disables the gate.
-func WithServerPeerSyncWait(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.cfg.PeerSyncWait = d }
 }
 
 // NewServer constructs a DisCFS server anchored on the administrator key
@@ -211,34 +173,8 @@ func NewServer(serverKey *KeyPair, opts ...ServerOption) (*Server, error) {
 	return core.NewServer(o.cfg)
 }
 
-// NewServerFromConfig constructs a server from a v1-style positional
-// configuration struct.
-//
-// Deprecated: use NewServer with functional options.
-func NewServerFromConfig(cfg ServerConfig) (*Server, error) { return core.NewServer(cfg) }
-
 // A ClientOption configures Dial's client-side data cache.
 type ClientOption = core.ClientOption
-
-// DefaultReadahead and DefaultWriteBehind are the data-cache defaults:
-// blocks prefetched ahead of a sequential read stream, and dirty blocks
-// buffered before writers are throttled.
-const (
-	DefaultReadahead   = core.DefaultReadahead
-	DefaultWriteBehind = core.DefaultWriteBehind
-)
-
-// WithReadahead sets how many blocks (8 KiB each) the client prefetches
-// ahead of a detected sequential read stream. n <= 0 disables
-// readahead. The default is DefaultReadahead.
-func WithReadahead(n int) ClientOption { return core.WithReadahead(n) }
-
-// WithWriteBehind sets the write-behind window: how many dirty 8 KiB
-// blocks the client buffers before throttling writers. Buffered writes
-// flush in the background and their errors surface at File.Sync or
-// File.Close — the NFS error barrier. The default is
-// DefaultWriteBehind.
-func WithWriteBehind(n int) ClientOption { return core.WithWriteBehind(n) }
 
 // WithNoDataCache disables the client-side data cache: every File read
 // and write becomes one synchronous NFS RPC and errors surface on the
@@ -249,16 +185,9 @@ func WithNoDataCache() ClientOption { return core.WithNoDataCache() }
 // WithMaxTransfer sets the READ/WRITE transfer size the client proposes
 // when attaching, in bytes (clamped to [8 KiB, 1 MiB]; the default
 // proposal is DefaultMaxTransfer, 504 KiB). The server grants at most
-// its own bound (WithServerMaxTransfer); servers predating the
-// negotiation grant the v2 baseline of 8 KiB. The granted size is the
+// its own bound (WithServerMaxTransfer). The granted size is the
 // payload of every READ/WRITE RPC and the granule of the data cache.
 func WithMaxTransfer(n int) ClientOption { return core.WithMaxTransfer(n) }
-
-// WithNameCacheTTL sets how long the client trusts cached attributes,
-// name lookups and negative lookups before revalidating with the server
-// (the actimeo knob of kernel NFS clients; default 3 s). Shorter values
-// see remote changes sooner at the cost of more metadata RPCs.
-func WithNameCacheTTL(d time.Duration) ClientOption { return core.WithNameCacheTTL(d) }
 
 // WithServers federates the namespace across additional servers: the
 // dialed address is shard 0 (the primary, exporting the logical root)

@@ -24,7 +24,7 @@ func startTransferServer(t *testing.T, serverMax int, wb bool) (string, *discfs.
 		opts = append(opts, discfs.WithServerMaxTransfer(serverMax))
 	}
 	if wb {
-		opts = append(opts, discfs.WithServerWriteBehind(0, 0))
+		opts = append(opts, discfs.WithServerWriteBehind())
 	}
 	srv, err := discfs.NewServer(adminKey, opts...)
 	if err != nil {
