@@ -128,8 +128,8 @@ func RunDedupOne(dedupOn bool, dupPct, writers int, perWriter int64) (DedupResul
 	}
 
 	// Warm outside the window: open every file and push one small write
-	// through it (dials the data-connection pool, spins up committers and
-	// the chunker's hash workers), then truncate back.
+	// through it (spins up flush workers, committers and the chunker's
+	// hash workers), then truncate back.
 	files := make([]*core.File, writers)
 	for i := range files {
 		f, err := c.Open(ctx, fmt.Sprintf("/dedup-w%d.dat", i), os.O_CREATE|os.O_RDWR|os.O_TRUNC)

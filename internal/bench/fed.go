@@ -173,8 +173,8 @@ func (s *FedSetup) Aggregate(writers int, perWriter int64) (FedResult, error) {
 	}
 
 	// Warm outside the window: create every file, push one write-behind
-	// window through it (dialing the per-shard data-connection pools and
-	// spinning up flush workers), then truncate back to empty.
+	// window through it (spinning up flush workers on every shard), then
+	// truncate back to empty.
 	files := make([]*core.File, writers)
 	for i, name := range names {
 		f, err := c.Open(ctx, "/data/"+name, os.O_CREATE|os.O_RDWR|os.O_TRUNC)

@@ -84,10 +84,10 @@ func (s *StreamSetup) dial(transfer int, cached bool) (*core.Client, error) {
 	return core.Dial(context.Background(), s.addr, s.userKey, opts...)
 }
 
-// warm forces the client's lazy data-connection pool to dial (and its
-// flush workers to spin up) against a throwaway file, so connection
-// handshakes happen outside the measured region — steady-state
-// throughput, not attach cost, is what the table reports.
+// warm spins up the client's flush workers and readahead, and the
+// server's write path, against a throwaway file, so that start-up
+// happens outside the measured region — steady-state throughput, not
+// attach cost, is what the table reports.
 func (s *StreamSetup) warm(c *core.Client, transfer int) error {
 	ctx := context.Background()
 	f, err := c.Open(ctx, fmt.Sprintf("/warm-%d.dat", transfer), os.O_CREATE|os.O_RDWR|os.O_TRUNC)
@@ -96,7 +96,7 @@ func (s *StreamSetup) warm(c *core.Client, transfer int) error {
 	}
 	defer f.Close()
 	buf := make([]byte, transfer)
-	for i := 0; i < 9; i++ { // one block per pool slot, and one spare
+	for i := 0; i < 9; i++ { // one block per flush worker, and one spare
 		if _, err := f.Write(buf); err != nil {
 			return err
 		}

@@ -51,7 +51,7 @@ type Client struct {
 	credsPresented atomic.Bool
 
 	// Per-shard request/latency metrics, fed by an observer on every
-	// RPC connection (main links and pool slots).
+	// shard link (re-attached on each redial).
 	reg       *metrics.Registry
 	shardReqs *metrics.CounterVec
 	shardLat  *metrics.HistogramVec
@@ -158,7 +158,6 @@ func Dial(ctx context.Context, addr string, identity *keynote.KeyPair, opts ...C
 		sh, err := dialShard(ctx, c, id, a)
 		if err != nil {
 			for _, prev := range c.shards {
-				prev.closePool()
 				prev.link.Load().rpc.Close()
 			}
 			return nil, err
@@ -196,17 +195,7 @@ func (c *Client) shardOf(h vfs.Handle) *shard {
 func (c *Client) Close() error {
 	c.closed.Store(true)
 	c.shutdownCaches()
-	var first error
-	for _, sh := range c.shards {
-		sh.closePool()
-		sh.mu.Lock()
-		err := sh.link.Load().rpc.Close()
-		sh.mu.Unlock()
-		if first == nil {
-			first = err
-		}
-	}
-	return first
+	return c.Abort()
 }
 
 // Abort cuts the connections without the orderly cache shutdown —
@@ -217,7 +206,6 @@ func (c *Client) Abort() error {
 	c.closed.Store(true)
 	var first error
 	for _, sh := range c.shards {
-		sh.closePool()
 		sh.mu.Lock()
 		err := sh.link.Load().rpc.Close()
 		sh.mu.Unlock()
@@ -739,16 +727,30 @@ func (c *Client) WriteFile(ctx context.Context, path string, data []byte) (vfs.A
 		// into CREATE would turn a transient refusal into EEXIST.
 		return vfs.Attr{}, "", werr
 	}
-	if err := sh.nfsc(ctx).WriteAll(ctx, attr.Handle, data); err != nil {
-		return vfs.Attr{}, "", c.wireError(err)
+	// Durability barrier: against a write-behind server the WRITEs are
+	// unstable until committed (WriteFile promises written-on-return,
+	// like the File Close barrier does). A COMMIT whose verifier differs
+	// from the one the WRITEs went out under means the server restarted
+	// and may have dropped them, so they are replayed. The baseline is
+	// the link's verifier before the first WRITE: a redial after a real
+	// restart would report the new one at COMMIT time.
+	verf := sh.live(ctx).verf
+	for attempt := 0; ; attempt++ {
+		if err := sh.nfsc(ctx).WriteAll(ctx, attr.Handle, data); err != nil {
+			return vfs.Attr{}, "", c.wireError(err)
+		}
+		_, got, err := sh.nfsc(ctx).Commit(ctx, attr.Handle)
+		if err != nil {
+			return vfs.Attr{}, "", c.wireError(err)
+		}
+		if got == verf {
+			return attr, cred, nil
+		}
+		if attempt == 4 {
+			return vfs.Attr{}, "", fmt.Errorf("core: commit %s: server restarted repeatedly during replay: %w", path, vfs.ErrIO)
+		}
+		verf = got
 	}
-	// Durability barrier: against a write-behind server the WRITEs above
-	// are unstable until committed (WriteFile promises written-on-return,
-	// like the File Close barrier does).
-	if _, _, err := sh.nfsc(ctx).Commit(ctx, attr.Handle); err != nil {
-		return vfs.Attr{}, "", c.wireError(err)
-	}
-	return attr, cred, nil
 }
 
 // MkdirPath creates one directory by path, returning the credential.
@@ -919,10 +921,9 @@ func (c *Client) walkDir(ctx context.Context, dir vfs.Handle, prefix string, fn 
 }
 
 // walkList lists one directory for Walk, applying federation routing.
-// One batched listing carries the names and (usually) the attributes;
-// entries whose attributes the server could not piggyback fall back to
-// individual cached lookups. Against servers without READDIRPLUS the
-// call itself degrades to READDIR plus per-name LOOKUP.
+// One READDIRPLUS listing carries the names and (usually) the
+// attributes; walkDir looks up, through the attribute cache, the
+// entries whose attributes the server could not piggyback.
 func (c *Client) walkList(ctx context.Context, dir vfs.Handle, prefix string) ([]walkEnt, error) {
 	dirPath := prefix
 	if dirPath == "" {

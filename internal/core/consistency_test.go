@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"discfs/internal/ffs"
+	"discfs/internal/secchan"
 	"discfs/internal/vfs"
 )
 
@@ -247,5 +248,40 @@ func TestUncachedSyncRetriesCommitAfterFailure(t *testing.T) {
 	got, _, err := backing.Read(a.Handle, 0, 64)
 	if err != nil || string(got) != "must-survive" {
 		t.Fatalf("backing content = %q, %v; want must-survive", got, err)
+	}
+}
+
+// TestOneSecureChannelPerShard: a client reaches its server over the
+// one secure channel set up at attach, as the paper's client does over
+// one IPsec association — data-cache WRITEs, READs and readahead share
+// it with every other RPC. The session counter is process-wide, so this
+// test must not run in parallel.
+func TestOneSecureChannelPerShard(t *testing.T) {
+	ctx := context.Background()
+	_, addr := testServer(t, ServerConfig{})
+	before := secchan.ReadStats().Accepted
+	c := dialAs(t, addr, "test-admin")
+
+	data := make([]byte, 4*c.MaxTransfer())
+	for i := range data {
+		data[i] = byte(i*31 + i>>10)
+	}
+	writeAndClose(t, c, "/channel.dat", data)
+	f, err := c.Open(ctx, "/channel.dat", os.O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if _, err := f.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("read back differs from what was written")
+	}
+	if n := secchan.ReadStats().Accepted - before; n != 1 {
+		t.Errorf("secure-channel sessions for one client = %d, want 1", n)
 	}
 }

@@ -23,7 +23,6 @@ package core
 // must open after the writer's close.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -127,11 +126,6 @@ type cblock struct {
 	// (sequential streams never touch a flushing block, making the
 	// steady-state flush zero-copy).
 	cow bool
-	// ownWrite marks a block whose full extent this client flushed: the
-	// server verifiably holds exactly data, so an identical overwrite
-	// may be elided (NOP-write). Blocks merely fetched never qualify —
-	// a remote writer may have changed the server since the fetch.
-	ownWrite bool
 	// unstable marks a block flushed to the server but not yet covered
 	// by a COMMIT barrier: against a write-behind server the WRITE
 	// reply promises nothing durable, so the block is pinned in the
@@ -511,14 +505,12 @@ func (hc *handleCache) fetch(ctx context.Context, idx int64, fs *fetchState, epo
 	if start > math.MaxUint32 {
 		err = fmt.Errorf("core: offset %d beyond NFSv2 range: %w", start, vfs.ErrFBig)
 	} else {
-		// Spread fetches across the data-connection pool so concurrent
-		// readahead pipelines instead of queueing on one channel.
 		// The reply's attributes are deliberately NOT folded into
 		// srvSize: a READ that raced our in-flight flushes reports a
 		// size the server has moved past, and shrinking srvSize would
 		// turn flushed data into holes. Remote truncation is adopted at
 		// the next quiescent open (close-to-open).
-		data, _, err = hc.sh.dataConn(ctx, idx).Read(ctx, hc.h, uint32(start), uint32(hc.bs))
+		data, _, err = hc.sh.nfsc(ctx).Read(ctx, hc.h, uint32(start), uint32(hc.bs))
 	}
 	hc.mu.Lock()
 	delete(hc.fetching, idx)
@@ -639,19 +631,6 @@ func (hc *handleCache) writeBlock(ctx context.Context, idx int64, bo int, p []by
 		hc.installLocked(idx, b)
 	}
 	end := bo + len(p)
-	if end <= len(b.data) && bytes.Equal(b.data[bo:end], p) &&
-		(b.ownWrite || (b.dirty && bo >= b.dirtyOff && end <= b.dirtyEnd)) {
-		// NOP-write elimination (as ZFS's nop-write): the bytes are
-		// either queued to flush (inside the dirty extent) or were the
-		// last thing this client flushed to the block (ownWrite), so an
-		// identical WRITE RPC buys nothing. Bytes that merely match a
-		// fetched clean block do NOT qualify: the server may have moved
-		// since the fetch, and Close's "data is on the server" promise
-		// requires the write to actually flush.
-		hc.mu.Unlock()
-		return nil
-	}
-	b.ownWrite = false
 	if b.cow {
 		// The buffer is lent to an in-flight flush RPC: mutate a
 		// private copy and leave the lent array to the flush.
@@ -707,9 +686,8 @@ func (hc *handleCache) writeBlock(ctx context.Context, idx int64, bo int, p []by
 // is (or may be) dirty data.
 func (hc *handleCache) ensureWorkersLocked() {
 	for hc.workers < min(hc.writeBehind, maxFlushWorkers) {
-		id := hc.workers
 		hc.workers++
-		go hc.flushWorker(id)
+		go hc.flushWorker()
 	}
 }
 
@@ -740,9 +718,9 @@ func (hc *handleCache) pickDirtyLocked() (int64, *cblock) {
 }
 
 // flushWorker drains dirty blocks until the cache is stopped and clean.
-// Each worker flushes over its own data-path connection, so concurrent
-// WRITE RPCs overlap on the wire (nconnect-style).
-func (hc *handleCache) flushWorker(id int) {
+// Workers share the shard's one connection; their WRITE RPCs overlap on
+// it, since sunrpc runs concurrent calls on one channel.
+func (hc *handleCache) flushWorker() {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	for {
@@ -777,7 +755,7 @@ func (hc *handleCache) flushWorker(id int) {
 		ctx := hc.flushCtx
 		hc.mu.Unlock()
 
-		attr, err := hc.sh.dataConn(ctx, int64(id)).Write(ctx, hc.h, uint32(start), snap)
+		attr, err := hc.sh.nfsc(ctx).Write(ctx, hc.h, uint32(start), snap)
 
 		hc.mu.Lock()
 		b.flushing = false
@@ -815,9 +793,6 @@ func (hc *handleCache) flushWorker(id int) {
 				b.dirty = false
 				b.dirtyOff, b.dirtyEnd = 0, 0
 				hc.nDirty--
-				// A flush that covered the whole block leaves the
-				// server verifiably holding exactly b.data.
-				b.ownWrite = fOff == 0 && fEnd == len(b.data)
 			}
 			// else: re-dirtied mid-flush; the merged extent re-flushes.
 			// Either way the server now holds this flush unstably; the
@@ -872,7 +847,6 @@ func (hc *handleCache) commitBarrierLocked(ctx context.Context) (retry bool) {
 			}
 			b.unstable = false
 			hc.nUnstable--
-			b.ownWrite = false
 			b.dirtyOff, b.dirtyEnd = 0, len(b.data)
 			b.dirtyGen++
 			if !b.dirty {

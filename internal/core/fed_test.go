@@ -332,7 +332,7 @@ func TestFedRedial(t *testing.T) {
 	if RedialsTotal() == before {
 		t.Fatalf("redial not counted: RedialsTotal still %d", before)
 	}
-	// And writes — which may ride pool connections — still work too.
+	// And writes still work too.
 	if _, _, err := c.WriteFile(ctx, "/data/redial.dat", []byte("after")); err != nil {
 		t.Fatalf("WriteFile after redial: %v", err)
 	}

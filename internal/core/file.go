@@ -47,8 +47,14 @@ type File struct {
 
 	dc *handleCache // nil when the data cache is disabled
 
-	size  atomic.Int64 // last size observed from the server (uncached path)
-	wrote atomic.Bool  // uncached path: WRITEs issued since the last COMMIT
+	size atomic.Int64 // last size observed from the server (uncached path)
+
+	// Uncached path: wrote marks WRITEs issued since the last COMMIT,
+	// and verf is the boot verifier of the link that carried the first
+	// of them — the baseline that COMMIT's verifier must match.
+	umu   sync.Mutex
+	wrote bool
+	verf  uint64
 
 	mu     sync.Mutex // guards the cursor and the closed flag
 	pos    int64
@@ -323,7 +329,8 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 	if f.dc != nil {
 		return f.dc.writeAt(f.ctx, p, off)
 	}
-	nc := f.sh.nfsc(f.ctx)
+	ln := f.sh.live(f.ctx)
+	nc := ln.nfs
 	step := int(nc.MaxData())
 	total := 0
 	for total < len(p) {
@@ -340,25 +347,46 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 			return total, f.c.wireError(err)
 		}
 		f.size.Store(int64(attr.Size))
-		f.wrote.Store(true)
+		f.noteWrite(ln.verf)
 		total = end
 	}
 	return total, nil
 }
 
+// noteWrite records an acknowledged WRITE on the uncached path; the
+// first since the last barrier fixes the verifier it went out under.
+func (f *File) noteWrite(verf uint64) {
+	f.umu.Lock()
+	if !f.wrote {
+		f.wrote, f.verf = true, verf
+	}
+	f.umu.Unlock()
+}
+
 // commitUncached issues the COMMIT durability barrier for the uncached
 // path: against a write-behind server the synchronous WRITEs above were
-// only unstable. No-op when the File has not written.
+// only unstable. No-op when the File has not written. A COMMIT reporting
+// another boot verifier means the server restarted and may have dropped
+// acknowledged WRITEs; this path keeps no copy to replay, so the loss is
+// reported.
 func (f *File) commitUncached() error {
-	if !f.wrote.Swap(false) {
+	f.umu.Lock()
+	wrote, verf := f.wrote, f.verf
+	f.wrote = false
+	f.umu.Unlock()
+	if !wrote {
 		return nil
 	}
-	if _, _, err := f.sh.nfsc(f.ctx).Commit(f.ctx, f.h); err != nil {
+	_, got, err := f.sh.nfsc(f.ctx).Commit(f.ctx, f.h)
+	if err != nil {
 		// The barrier did not happen: re-arm so a retried Sync/Close
 		// issues the COMMIT again instead of reporting durability it
 		// never got.
-		f.wrote.Store(true)
+		f.noteWrite(verf)
 		return f.c.wireError(err)
+	}
+	if got != verf {
+		return fmt.Errorf("core: commit %s: server restarted and lost unstable writes: %w", f.path, vfs.ErrIO)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -353,12 +354,9 @@ func (g *gatedWriteFS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, e
 	return g.FS.Write(h, off, data)
 }
 
-// TestCommitVerifierReplayFirstWrite: the server restarts between a
-// file's first WRITEs and its first COMMIT, dropping WRITEs it already
-// acknowledged. The file's first COMMIT must still see a moved verifier
-// and replay them.
-func TestCommitVerifierReplayFirstWrite(t *testing.T) {
-	ctx := context.Background()
+// gatedServer starts a write-behind server over a gatedWriteFS.
+func gatedServer(t *testing.T) (*Server, string, *gatedWriteFS) {
+	t.Helper()
 	under, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 16384})
 	if err != nil {
 		t.Fatal(err)
@@ -369,32 +367,24 @@ func TestCommitVerifierReplayFirstWrite(t *testing.T) {
 		ServerKey:   keynote.DeterministicKey("stress-admin"),
 		WriteBehind: true,
 	})
-	c := dialAs(t, addr, "stress-admin")
+	return srv, addr, gate
+}
 
-	f, err := c.Open(ctx, "/first.dat", os.O_CREATE|os.O_RDWR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three full cache blocks: each flushes as one WRITE. The first
-	// fills a gather run and parks in the backing store; the others
-	// stay queued behind it.
-	const blocks = 3
-	want := make([]byte, blocks*c.MaxTransfer())
-	for i := range want {
-		want[i] = byte(i*7 + i>>12)
-	}
-	if _, err := f.WriteAt(want, 0); err != nil {
-		t.Fatal(err)
-	}
+// rebootWithAckedWrites waits until the first WRITE parks in the gated
+// backing store and the gather layer has acknowledged n WRITEs, then
+// restarts the gather layer — dropping the acknowledged WRITEs still
+// queued — and opens the gate.
+func rebootWithAckedWrites(t *testing.T, srv *Server, gate *gatedWriteFS, n uint64) {
+	t.Helper()
 	select {
 	case <-gate.entered:
 	case <-time.After(10 * time.Second):
 		t.Fatal("no WRITE reached the backing store")
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.gather.Stats().WritesGathered < blocks {
+	for srv.gather.Stats().WritesGathered < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("server acknowledged %d of %d WRITEs", srv.gather.Stats().WritesGathered, blocks)
+			t.Fatalf("server acknowledged %d of %d WRITEs", srv.gather.Stats().WritesGathered, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -403,11 +393,13 @@ func TestCommitVerifierReplayFirstWrite(t *testing.T) {
 	}
 	srv.gather.Reboot(true)
 	close(gate.open)
-	if err := f.Close(); err != nil {
-		t.Fatalf("Close with replay: %v", err)
-	}
+}
 
-	got, err := dialAs(t, addr, "stress-admin").ReadFile(ctx, "/first.dat")
+// checkReplayed reads path through a fresh client and compares it with
+// want, naming the first differing byte.
+func checkReplayed(t *testing.T, addr, path string, want []byte) {
+	t.Helper()
+	got, err := dialAs(t, addr, "stress-admin").ReadFile(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,6 +409,85 @@ func TestCommitVerifierReplayFirstWrite(t *testing.T) {
 			d++
 		}
 		t.Fatalf("replayed content differs at byte %d of %d (got len %d)", d, len(want), len(got))
+	}
+}
+
+// replayPayload is three full transfers of a deterministic pattern:
+// each moves as one WRITE. The first fills a gather run and parks in
+// the gated backing store; the others stay queued behind it.
+func replayPayload(c *Client) []byte {
+	want := make([]byte, 3*c.MaxTransfer())
+	for i := range want {
+		want[i] = byte(i*7 + i>>12)
+	}
+	return want
+}
+
+// TestCommitVerifierReplayFirstWrite: the server restarts between a
+// file's first WRITEs and its first COMMIT, dropping WRITEs it already
+// acknowledged. The file's first COMMIT must still see a moved verifier
+// and replay them.
+func TestCommitVerifierReplayFirstWrite(t *testing.T) {
+	ctx := context.Background()
+	srv, addr, gate := gatedServer(t)
+	c := dialAs(t, addr, "stress-admin")
+
+	f, err := c.Open(ctx, "/first.dat", os.O_CREATE|os.O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := replayPayload(c)
+	if _, err := f.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	rebootWithAckedWrites(t, srv, gate, 3)
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close with replay: %v", err)
+	}
+	checkReplayed(t, addr, "/first.dat", want)
+}
+
+// TestCommitVerifierReplayWriteFile: WriteFile's COMMIT reports the
+// verifier of a server that restarted after acknowledging its WRITEs.
+// WriteFile must rewrite the data rather than report success over the
+// lost WRITEs.
+func TestCommitVerifierReplayWriteFile(t *testing.T) {
+	ctx := context.Background()
+	srv, addr, gate := gatedServer(t)
+	c := dialAs(t, addr, "stress-admin")
+
+	want := replayPayload(c)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.WriteFile(ctx, "/whole.dat", want)
+		done <- err
+	}()
+	rebootWithAckedWrites(t, srv, gate, 3)
+	if err := <-done; err != nil {
+		t.Fatalf("WriteFile with replay: %v", err)
+	}
+	checkReplayed(t, addr, "/whole.dat", want)
+}
+
+// TestCommitVerifierReplayUncached: without the data cache a File keeps
+// no copy of what it wrote, so it cannot replay; a COMMIT reporting a
+// restarted server must fail the barrier with ErrIO instead of
+// acknowledging lost WRITEs.
+func TestCommitVerifierReplayUncached(t *testing.T) {
+	ctx := context.Background()
+	srv, addr, gate := gatedServer(t)
+	c := dialAsWith(t, addr, "stress-admin", WithNoDataCache())
+
+	f, err := c.Open(ctx, "/uncached.dat", os.O_CREATE|os.O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(replayPayload(c)); err != nil {
+		t.Fatal(err)
+	}
+	rebootWithAckedWrites(t, srv, gate, 3)
+	if err := f.Close(); !errors.Is(err, vfs.ErrIO) {
+		t.Fatalf("Close after losing acknowledged WRITEs = %v, want ErrIO", err)
 	}
 }
 

@@ -83,8 +83,8 @@ func (c *Client) RPC() *sunrpc.Client { return c.rpc }
 func (c *Client) MaxData() uint32 { return c.maxData.Load() }
 
 // SetMaxData pins the transfer size without a negotiation round trip —
-// for additional data connections to a server whose grant is already
-// known. The value is clamped to [MaxData, MaxTransferLimit].
+// for a redialed connection that keeps the grant its predecessor
+// negotiated. The value is clamped to [MaxData, MaxTransferLimit].
 func (c *Client) SetMaxData(n uint32) { c.maxData.Store(ClampTransfer(int(n))) }
 
 // Negotiate is the attach handshake (ProcFSInfo): it proposes a
