@@ -409,6 +409,12 @@ type condParser struct {
 
 // program parses clauses until EOF (nested=false) or '}' (nested=true).
 func (p *condParser) program(nested bool) (*condProgram, error) {
+	if nested {
+		if err := p.lx.enter(p.lx.peek().off); err != nil {
+			return nil, err
+		}
+		defer p.lx.leave()
+	}
 	prog := &condProgram{}
 	for {
 		t := p.lx.peek()
@@ -503,6 +509,10 @@ func binPrec(k tokKind) int {
 // expr is a precedence-climbing parser over the unified grammar. minPrec
 // bounds which binary operators may be consumed.
 func (p *condParser) expr(minPrec int) (expr, error) {
+	if err := p.lx.enter(p.lx.peek().off); err != nil {
+		return nil, err
+	}
+	defer p.lx.leave()
 	left, err := p.unary()
 	if err != nil {
 		return nil, err

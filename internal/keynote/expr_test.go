@@ -1,6 +1,7 @@
 package keynote
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -288,5 +289,35 @@ func TestConditionsDeepNesting(t *testing.T) {
 	cond := strings.Repeat(`true -> { `, depth) + `true -> "true";` + strings.Repeat(` };`, depth)
 	if got := evalCond(t, cond, nil, binVals); got != "true" {
 		t.Errorf("deep nesting eval = %q, want true", got)
+	}
+}
+
+// TestNestingBound: assertion text reaches the parser from peers before
+// any signature check, so nesting is capped at maxNesting. A 256 KiB run
+// of '!' (the largest credential text a server accepts) and 256 KiB of
+// nested Licensees parentheses are both refused with a *SyntaxError;
+// nesting just under the cap still parses.
+func TestNestingBound(t *testing.T) {
+	const textMax = 256 << 10
+	header := "Authorizer: \"POLICY\"\n"
+	bang := header + "Licensees: \"x\"\nConditions: "
+	bang += strings.Repeat("!", textMax-len(bang)-len("true;\n")) + "true;\n"
+	parens := header + "Licensees: "
+	depth := (textMax - len(parens) - len("\"x\"\n")) / 2
+	parens += strings.Repeat("(", depth) + `"x"` + strings.Repeat(")", depth) + "\n"
+	for name, text := range map[string]string{"conditions": bang, "licensees": parens} {
+		if len(text) != textMax && len(text) != textMax-1 {
+			t.Fatalf("%s: text is %d bytes, want 256 KiB", name, len(text))
+		}
+		_, err := ParseAssertion(text)
+		var se *SyntaxError
+		if !errors.As(err, &se) || !errors.Is(err, ErrSyntax) {
+			t.Errorf("%s: 256 KiB of nesting: err = %v, want a *SyntaxError", name, err)
+		}
+	}
+	ok := header + "Licensees: " + strings.Repeat("(", maxNesting-1) + `"x"` + strings.Repeat(")", maxNesting-1) + "\n" +
+		"Conditions: " + strings.Repeat("!", maxNesting-2) + "true;\n"
+	if _, err := ParseAssertion(ok); err != nil {
+		t.Errorf("nesting under the bound: %v", err)
 	}
 }

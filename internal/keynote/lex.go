@@ -126,7 +126,27 @@ type lexer struct {
 	pos   int
 	toks  []token
 	idx   int
+	depth int // current parser nesting, bounded by maxNesting
 }
+
+// maxNesting bounds how deeply a Conditions or Licensees expression may
+// nest: parentheses, prefix operators, '^' chains, nested clause blocks
+// and k-of operands each add a level. Both parsers recurse once per
+// level, and assertion text from a peer is parsed before any signature
+// check, so without a bound a run of '!' costs one stack frame each.
+const maxNesting = 128
+
+// enter records one more level of nesting at off, failing past
+// maxNesting; every successful enter is paired with a leave.
+func (l *lexer) enter(off int) error {
+	if l.depth >= maxNesting {
+		return l.errf(off, "nested more than %d levels deep", maxNesting)
+	}
+	l.depth++
+	return nil
+}
+
+func (l *lexer) leave() { l.depth-- }
 
 // newLexer tokenizes src fully, returning the first error encountered.
 func newLexer(field, src string) (*lexer, error) {

@@ -104,6 +104,10 @@ type licParser struct {
 }
 
 func (p *licParser) expr() (licExpr, error) {
+	if err := p.lx.enter(p.lx.peek().off); err != nil {
+		return nil, err
+	}
+	defer p.lx.leave()
 	left, err := p.term()
 	if err != nil {
 		return nil, err

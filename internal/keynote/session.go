@@ -10,12 +10,18 @@ import (
 // assertions, mirroring the "persistent KeyNote session" the DisCFS
 // daemon keeps per attached client. Sessions are safe for concurrent
 // use and read-mostly: the assertion set lives in an immutable Snapshot
-// published through an atomic pointer, so Query takes no lock at all;
-// mutations (credential submission, revocation) copy-on-write a new
-// snapshot under a writer mutex and bump the generation counter.
+// published through an atomic pointer, so Query takes no lock at all.
+// Mutations (credential submission, revocation) publish a new snapshot
+// under a writer mutex and bump the generation counter; the new
+// snapshot shares everything the mutation did not touch with the old
+// one, so publishing costs the size of the change, not of the session.
 type Session struct {
 	mu   sync.Mutex // serializes mutations; readers never take it
 	snap atomic.Pointer[Snapshot]
+	// bySig maps each installed credential's signature value to it, for
+	// idempotent resubmission and RevokeCredential. Only mutations read
+	// it, so it lives under mu rather than in the snapshot.
+	bySig map[string]*Assertion
 	// volatileAttrs are action-attribute names whose values change
 	// between queries without a session mutation (e.g. the time of day).
 	// Snapshots record whether any assertion depends on one, so decision
@@ -31,14 +37,8 @@ func NewSession(values []string) (*Session, error) {
 	}
 	vals := make([]string, len(values))
 	copy(vals, values)
-	s := &Session{}
-	s.snap.Store(&Snapshot{
-		values:      vals,
-		bySig:       make(map[string]*Assertion),
-		byLicensee:  make(map[Principal][]*Assertion),
-		revoked:     make(map[Principal]bool),
-		revokedSigs: make(map[string]bool),
-	})
+	s := &Session{bySig: make(map[string]*Assertion)}
+	s.snap.Store(&Snapshot{values: vals})
 	return s, nil
 }
 
@@ -143,17 +143,17 @@ func (s *Session) AddCredentialText(text string) ([]*Assertion, error) {
 	err = s.mutate(func(next *Snapshot) (bool, error) {
 		added = make([]*Assertion, 0, len(as))
 		for _, a := range as {
-			if next.revoked[a.Authorizer] {
+			if next.revoked.get(a.Authorizer) {
 				return len(added) > 0, fmt.Errorf("keynote: credential authorizer %s is revoked", a.Authorizer.Short())
 			}
-			if next.revokedSigs[a.SignatureValue] {
+			if next.revokedSigs.get(a.SignatureValue) {
 				return len(added) > 0, fmt.Errorf("keynote: credential signature is revoked")
 			}
-			if _, dup := next.bySig[a.SignatureValue]; dup {
+			if _, dup := s.bySig[a.SignatureValue]; dup {
 				continue // idempotent re-submission
 			}
 			next.creds = append(next.creds, a)
-			next.bySig[a.SignatureValue] = a
+			s.bySig[a.SignatureValue] = a
 			next.index(a)
 			next.volatile = next.volatile || a.referencesAny(s.volatileAttrs)
 			added = append(added, a)
@@ -169,17 +169,17 @@ func (s *Session) AddCredential(a *Assertion) error {
 		return err
 	}
 	return s.mutate(func(next *Snapshot) (bool, error) {
-		if next.revoked[a.Authorizer] {
+		if next.revoked.get(a.Authorizer) {
 			return false, fmt.Errorf("keynote: credential authorizer %s is revoked", a.Authorizer.Short())
 		}
-		if next.revokedSigs[a.SignatureValue] {
+		if next.revokedSigs.get(a.SignatureValue) {
 			return false, fmt.Errorf("keynote: credential signature is revoked")
 		}
-		if _, dup := next.bySig[a.SignatureValue]; dup {
+		if _, dup := s.bySig[a.SignatureValue]; dup {
 			return false, nil
 		}
 		next.creds = append(next.creds, a)
-		next.bySig[a.SignatureValue] = a
+		s.bySig[a.SignatureValue] = a
 		next.index(a)
 		next.volatile = next.volatile || a.referencesAny(s.volatileAttrs)
 		return true, nil
@@ -196,24 +196,17 @@ func (s *Session) RevokeCredential(signatureValue string) bool {
 	removed := false
 	s.mutate(func(next *Snapshot) (bool, error) {
 		changed := false
-		if !next.revokedSigs[signatureValue] {
-			next.revokedSigs[signatureValue] = true
+		if !next.revokedSigs.get(signatureValue) {
+			next.revokedSigs.set(signatureValue, true)
 			next.appendRevocation(RevokedCredential, signatureValue)
 			changed = true
 		}
-		a, ok := next.bySig[signatureValue]
+		a, ok := s.bySig[signatureValue]
 		if !ok {
 			return changed, nil
 		}
-		delete(next.bySig, signatureValue)
-		for i, c := range next.creds {
-			if c == a {
-				next.creds = append(next.creds[:i], next.creds[i+1:]...)
-				break
-			}
-		}
-		next.reindex()
-		next.recomputeVolatile(s.volatileAttrs)
+		delete(s.bySig, signatureValue)
+		next.removeCreds(map[*Assertion]bool{a: true}, s.volatileAttrs)
 		removed = true
 		return true, nil
 	})
@@ -232,23 +225,22 @@ func (s *Session) RevokeKey(p Principal) int {
 	}
 	removed := 0
 	s.mutate(func(next *Snapshot) (bool, error) {
-		if next.revoked[c] {
+		if next.revoked.get(c) {
 			return false, nil
 		}
-		next.revoked[c] = true
+		next.revoked.set(c, true)
 		next.appendRevocation(RevokedKey, string(c))
-		kept := next.creds[:0]
+		dropped := make(map[*Assertion]bool)
 		for _, a := range next.creds {
 			if a.Authorizer == c {
-				delete(next.bySig, a.SignatureValue)
-				removed++
-				continue
+				dropped[a] = true
+				delete(s.bySig, a.SignatureValue)
 			}
-			kept = append(kept, a)
 		}
-		next.creds = kept
-		next.reindex()
-		next.recomputeVolatile(s.volatileAttrs)
+		if len(dropped) > 0 {
+			next.removeCreds(dropped, s.volatileAttrs)
+		}
+		removed = len(dropped)
 		return true, nil
 	})
 	return removed
@@ -266,7 +258,7 @@ func (s *Session) Policies() []*Assertion { return s.Snapshot().Policies() }
 // Query runs a compliance check with the session's assertions and value
 // order. Requesters that have been revoked fail closed to _MIN_TRUST.
 // The check runs lock-free against the current snapshot and evaluates
-// only the requesting principals' delegation graph.
+// only the assertions on the requesting principals' delegation paths.
 func (s *Session) Query(attributes map[string]string, requesters ...Principal) (Result, error) {
 	return s.Snapshot().Query(attributes, requesters...)
 }

@@ -6,24 +6,28 @@ package keynote
 // obtained never changes, so a decision and the generation it was
 // computed under are consistent by construction.
 type Snapshot struct {
-	values   []string
+	values []string
+	// policies, creds and revlog grow by appending in place: a snapshot
+	// is never written once published and only the newest one is ever
+	// extended, so an older snapshot's shorter slice never sees the
+	// appended entries. Removal builds a new slice.
 	policies []*Assertion
 	creds    []*Assertion
-	bySig    map[string]*Assertion
-	// byLicensee indexes every assertion (policy and credential) by each
-	// principal its Licensees field mentions. Query walks this index from
-	// the requester toward POLICY instead of scanning the whole session:
-	// an assertion that licenses none of the principals reachable from
-	// the requester can only ever contribute _MIN_TRUST, so skipping it
-	// never changes the result.
-	byLicensee map[Principal][]*Assertion
-	revoked    map[Principal]bool
+	// byLicensee indexes assertions (policy and credential) by each
+	// principal their Licensees field mentions. Query walks this index
+	// from the requester toward POLICY instead of scanning the whole
+	// session: an assertion that licenses none of the principals
+	// reachable from the requester can only ever contribute _MIN_TRUST,
+	// so skipping it never changes the result. Self-licensing assertions
+	// are not indexed at all (see indexKeys).
+	byLicensee cowMap[Principal, []*Assertion]
+	revoked    cowMap[Principal, bool]
 	// revokedSigs records every credential signature ever revoked.
-	// Unlike bySig removal, this set is permanent: a revoked credential
-	// stays refused on resubmission, so a replication layer can apply a
-	// signature revocation before (or after) the credential itself
-	// arrives and the outcome is the same.
-	revokedSigs map[string]bool
+	// Unlike removal of the credential, this set is permanent: a revoked
+	// credential stays refused on resubmission, so a replication layer
+	// can apply a signature revocation before (or after) the credential
+	// itself arrives and the outcome is the same.
+	revokedSigs cowMap[string, bool]
 	// revlog is the append-only revocation log: one entry per RevokeKey
 	// or (first) RevokeCredential, in application order. Seq is 1-based
 	// and monotonic, so replication cursors are just log positions.
@@ -72,13 +76,13 @@ func (sn *Snapshot) Revoked(p Principal) bool {
 	if err != nil {
 		c = p
 	}
-	return sn.revoked[c]
+	return sn.revoked.get(c)
 }
 
 // RevokedCredential reports whether a credential signature has been
 // revoked in this snapshot. Signature revocations are permanent: the
 // credential is refused on resubmission even after removal.
-func (sn *Snapshot) RevokedCredential(sig string) bool { return sn.revokedSigs[sig] }
+func (sn *Snapshot) RevokedCredential(sig string) bool { return sn.revokedSigs.get(sig) }
 
 // Revocations returns a copy of the log entries with Seq > since (pass
 // 0 for the whole log). Entries are ordered and Seq is dense, so a
@@ -98,7 +102,8 @@ func (sn *Snapshot) RevocationSeq() uint64 { return uint64(len(sn.revlog)) }
 // requesters toward POLICY: breadth-first over the licensee index,
 // following each collected assertion's authorizer upward. Principals a
 // requester cannot reach hold _MIN_TRUST in the evaluation fixpoint, so
-// assertions licensing only such principals are sound to omit.
+// assertions licensing only such principals are sound to omit; the
+// index holds no self-licensing assertions either (see indexKeys).
 func (sn *Snapshot) relevant(requesters []Principal) (pols, creds []*Assertion) {
 	reached := make(map[Principal]bool, len(requesters)+8)
 	queue := make([]Principal, 0, len(requesters)+8)
@@ -112,7 +117,7 @@ func (sn *Snapshot) relevant(requesters []Principal) (pols, creds []*Assertion) 
 	for len(queue) > 0 {
 		p := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, a := range sn.byLicensee[p] {
+		for _, a := range sn.byLicensee.get(p) {
 			if picked[a] {
 				continue
 			}
@@ -132,7 +137,7 @@ func (sn *Snapshot) relevant(requesters []Principal) (pols, creds []*Assertion) 
 }
 
 // Query runs a compliance check against the snapshot. It takes no lock
-// and evaluates only the requesting principals' delegation graph.
+// and evaluates only the assertions relevant returns.
 // Requesters that have been revoked fail closed to _MIN_TRUST.
 func (sn *Snapshot) Query(attributes map[string]string, requesters ...Principal) (Result, error) {
 	canon := make([]Principal, len(requesters))
@@ -141,7 +146,7 @@ func (sn *Snapshot) Query(attributes map[string]string, requesters ...Principal)
 		if err != nil {
 			return Result{}, err
 		}
-		if sn.revoked[c] {
+		if sn.revoked.get(c) {
 			return Result{Value: sn.values[0], Index: 0}, nil
 		}
 		canon[i] = c
@@ -156,52 +161,85 @@ func (sn *Snapshot) Query(attributes map[string]string, requesters ...Principal)
 
 // ---- construction (called by Session under its writer lock) ----
 
-// clone copies the snapshot's containers for a mutation; the assertions
-// themselves are immutable and shared.
+// clone returns the next snapshot for a mutation. It shares every
+// container with sn (see the Snapshot field comments); the assertions
+// themselves are immutable.
 func (sn *Snapshot) clone() *Snapshot {
-	next := &Snapshot{
-		values:      sn.values,
-		policies:    append([]*Assertion(nil), sn.policies...),
-		creds:       append([]*Assertion(nil), sn.creds...),
-		bySig:       make(map[string]*Assertion, len(sn.bySig)+1),
-		byLicensee:  make(map[Principal][]*Assertion, len(sn.byLicensee)+1),
-		revoked:     make(map[Principal]bool, len(sn.revoked)),
-		revokedSigs: make(map[string]bool, len(sn.revokedSigs)),
-		revlog:      append([]Revocation(nil), sn.revlog...),
-		gen:         sn.gen,
-		volatile:    sn.volatile,
+	next := *sn
+	next.byLicensee = sn.byLicensee.clone()
+	next.revoked = sn.revoked.clone()
+	next.revokedSigs = sn.revokedSigs.clone()
+	return &next
+}
+
+// indexKeys returns the principals the licensee index files a under:
+// every principal its Licensees field mentions, or none when they all
+// name a's own Authorizer ("A", "A && A", "k-of(A, A)"). Such a
+// self-licensing assertion gives A at most min(cond, val[A]) <= val[A]
+// and nothing to anyone else, so it never moves the evaluation fixpoint;
+// the server's creator credential for every object it makes is one.
+func (a *Assertion) indexKeys() []Principal {
+	ps := a.Licensees()
+	for _, p := range ps {
+		if p != a.Authorizer {
+			return ps
+		}
 	}
-	for k, v := range sn.bySig {
-		next.bySig[k] = v
-	}
-	for k, v := range sn.byLicensee {
-		// Copy the slice header's backing too: additions append to these.
-		next.byLicensee[k] = append([]*Assertion(nil), v...)
-	}
-	for k := range sn.revoked {
-		next.revoked[k] = true
-	}
-	for k := range sn.revokedSigs {
-		next.revokedSigs[k] = true
-	}
-	return next
+	return nil
 }
 
 // index adds one assertion to the licensee index.
 func (sn *Snapshot) index(a *Assertion) {
-	for _, p := range a.Licensees() {
-		sn.byLicensee[p] = append(sn.byLicensee[p], a)
+	for _, p := range a.indexKeys() {
+		sn.byLicensee.set(p, append(sn.byLicensee.get(p), a))
 	}
 }
 
-// reindex rebuilds the licensee index from scratch (after removals).
-func (sn *Snapshot) reindex() {
-	sn.byLicensee = make(map[Principal][]*Assertion, len(sn.byLicensee))
-	for _, a := range sn.policies {
-		sn.index(a)
+// unindex removes dropped assertions from the licensee index, touching
+// only their licensees' entries. The entries are rebuilt, not edited in
+// place, because older snapshots share their backing arrays.
+func (sn *Snapshot) unindex(dropped map[*Assertion]bool) {
+	for a := range dropped {
+		for _, p := range a.indexKeys() {
+			old := sn.byLicensee.get(p)
+			kept := make([]*Assertion, 0, len(old))
+			for _, b := range old {
+				if !dropped[b] {
+					kept = append(kept, b)
+				}
+			}
+			if len(kept) == len(old) {
+				continue // already rebuilt for an earlier dropped assertion
+			}
+			if len(kept) == 0 {
+				sn.byLicensee.del(p)
+			} else {
+				sn.byLicensee.set(p, kept)
+			}
+		}
 	}
+}
+
+// removeCreds drops credentials from the snapshot: from creds, from the
+// licensee index and, when one of them made the snapshot volatile, from
+// the volatile flag.
+func (sn *Snapshot) removeCreds(dropped map[*Assertion]bool, volatileAttrs map[string]bool) {
+	kept := make([]*Assertion, 0, len(sn.creds)-len(dropped))
 	for _, a := range sn.creds {
-		sn.index(a)
+		if !dropped[a] {
+			kept = append(kept, a)
+		}
+	}
+	sn.creds = kept
+	sn.unindex(dropped)
+	if !sn.volatile {
+		return
+	}
+	for a := range dropped {
+		if a.referencesAny(volatileAttrs) {
+			sn.recomputeVolatile(volatileAttrs)
+			return
+		}
 	}
 }
 

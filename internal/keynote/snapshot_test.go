@@ -14,54 +14,106 @@ import (
 // TestSnapshotPrunedQueryMatchesFullEvaluate: the indexed query over the
 // requester's delegation graph must agree with a full evaluation over
 // every assertion in the session, including with bystander credentials
-// that the requester cannot reach.
+// that the requester cannot reach and with self-licensing assertions,
+// which the index leaves out.
 func TestSnapshotPrunedQueryMatchesFullEvaluate(t *testing.T) {
 	s, admin, bob, alice := newTestSession(t)
-	// Chain: POLICY -> admin -> bob -> alice.
-	adminToBob := mustSign(t, admin, AssertionSpec{
-		Licensees:  LicenseesOr(bob.Principal),
-		Conditions: `app_domain == "DisCFS" && HANDLE == "5" -> "RW";`,
-	})
-	bobToAlice := mustSign(t, bob, AssertionSpec{
-		Licensees:  LicenseesOr(alice.Principal),
-		Conditions: `app_domain == "DisCFS" && HANDLE == "5" -> "R";`,
-	})
-	for _, c := range []*Assertion{adminToBob, bobToAlice} {
+	add := func(c *Assertion) *Assertion {
+		t.Helper()
 		if err := s.AddCredential(c); err != nil {
 			t.Fatal(err)
 		}
+		return c
 	}
+	// Chain: POLICY -> admin -> bob -> alice.
+	add(mustSign(t, admin, AssertionSpec{
+		Licensees:  LicenseesOr(bob.Principal),
+		Conditions: `app_domain == "DisCFS" && HANDLE == "5" -> "RW";`,
+	}))
+	add(mustSign(t, bob, AssertionSpec{
+		Licensees:  LicenseesOr(alice.Principal),
+		Conditions: `app_domain == "DisCFS" && HANDLE == "5" -> "R";`,
+	}))
 	// Bystanders: delegations to unrelated principals that alice's graph
 	// never reaches. The pruned query must skip them without changing
 	// the answer.
 	for i := 0; i < 16; i++ {
 		other := DeterministicKey(fmt.Sprintf("bystander-%d", i))
-		c := mustSign(t, admin, AssertionSpec{
+		add(mustSign(t, admin, AssertionSpec{
 			Licensees:  LicenseesOr(other.Principal),
 			Conditions: `app_domain == "DisCFS" -> "RWX";`,
-		})
-		if err := s.AddCredential(c); err != nil {
-			t.Fatal(err)
+		}))
+	}
+	// Self-licensing assertions on the chain: the server's creator
+	// credentials (admin licensing admin, one per object), the "A && A"
+	// and "1-of(A, A)" forms, and one authored by a requester.
+	var self []*Assertion
+	for i := 0; i < 64; i++ {
+		self = append(self, add(mustSign(t, admin, AssertionSpec{
+			Licensees:  LicenseesOr(admin.Principal),
+			Conditions: fmt.Sprintf(`app_domain == "DisCFS" && HANDLE == "%d" -> "RWX";`, i),
+		})))
+	}
+	self = append(self,
+		add(mustSign(t, admin, AssertionSpec{
+			Licensees:  LicenseesAnd(admin.Principal, admin.Principal),
+			Conditions: `app_domain == "DisCFS" -> "RWX";`,
+		})),
+		add(mustSign(t, admin, AssertionSpec{
+			Licensees:  LicenseesThreshold(1, admin.Principal, admin.Principal),
+			Conditions: `app_domain == "DisCFS" -> "RWX";`,
+		})),
+		add(mustSign(t, bob, AssertionSpec{
+			Licensees:  LicenseesOr(bob.Principal),
+			Conditions: `app_domain == "DisCFS" -> "RWX";`,
+		})))
+	// "A && B" authored by A names someone other than its authorizer, so
+	// it stays in the index: with bob it raises admin's value no further
+	// than admin already holds, but it must still be evaluated.
+	joint := add(mustSign(t, admin, AssertionSpec{
+		Licensees:  LicenseesAnd(admin.Principal, bob.Principal),
+		Conditions: `app_domain == "DisCFS" -> "RWX";`,
+	}))
+	isSelf := make(map[*Assertion]bool, len(self))
+	for _, a := range self {
+		isSelf[a] = true
+	}
+	snap := s.Snapshot()
+	for _, attrs := range []map[string]string{
+		{"app_domain": "DisCFS", "HANDLE": "5"},
+		{"app_domain": "DisCFS", "HANDLE": "63"},
+		{"app_domain": "other", "HANDLE": "5"},
+	} {
+		for _, req := range []Principal{alice.Principal, bob.Principal, admin.Principal,
+			DeterministicKey("stranger").Principal} {
+			pruned, err := snap.Query(attrs, req)
+			if err != nil {
+				t.Fatalf("snapshot query(%s): %v", req.Short(), err)
+			}
+			full, err := Evaluate(snap.Policies(), snap.Credentials(), Query{
+				Values:     snap.Values(),
+				Attributes: attrs,
+				Requesters: []Principal{req},
+			})
+			if err != nil {
+				t.Fatalf("full evaluate(%s): %v", req.Short(), err)
+			}
+			if pruned != full {
+				t.Errorf("requester %s, %v: pruned = %+v, full = %+v", req.Short(), attrs, pruned, full)
+			}
 		}
 	}
-	attrs := map[string]string{"app_domain": "DisCFS", "HANDLE": "5"}
-	for _, req := range []Principal{alice.Principal, bob.Principal, admin.Principal,
-		DeterministicKey("stranger").Principal} {
-		snap := s.Snapshot()
-		pruned, err := snap.Query(attrs, req)
-		if err != nil {
-			t.Fatalf("snapshot query(%s): %v", req.Short(), err)
+	for _, req := range []Principal{alice.Principal, bob.Principal, admin.Principal} {
+		_, creds := snap.relevant([]Principal{req})
+		sawJoint := false
+		for _, a := range creds {
+			if isSelf[a] {
+				t.Errorf("requester %s: relevant returned a self-licensing assertion: %s", req.Short(), a.Source)
+			}
+			sawJoint = sawJoint || a == joint
 		}
-		full, err := Evaluate(snap.Policies(), snap.Credentials(), Query{
-			Values:     snap.Values(),
-			Attributes: attrs,
-			Requesters: []Principal{req},
-		})
-		if err != nil {
-			t.Fatalf("full evaluate(%s): %v", req.Short(), err)
-		}
-		if pruned != full {
-			t.Errorf("requester %s: pruned = %+v, full = %+v", req.Short(), pruned, full)
+		if req != admin.Principal && !sawJoint {
+			t.Errorf("requester %s: relevant skipped the admin && bob assertion", req.Short())
 		}
 	}
 }
@@ -101,7 +153,8 @@ func TestSnapshotPrunedQueryThreshold(t *testing.T) {
 }
 
 // TestSnapshotImmutable: a snapshot taken before a mutation keeps
-// answering with the old assertion set and generation.
+// answering with the old assertion set and generation, through adds and
+// through revocations that rewrite the same licensee's index entry.
 func TestSnapshotImmutable(t *testing.T) {
 	s, admin, bob, _ := newTestSession(t)
 	before := s.Snapshot()
@@ -133,6 +186,117 @@ func TestSnapshotImmutable(t *testing.T) {
 	}
 	if s.Generation() != genBefore+1 {
 		t.Errorf("generation = %d, want %d", s.Generation(), genBefore+1)
+	}
+
+	// More credentials for bob, one through a second delegator (carol),
+	// then revocations that drop some of them again. Every snapshot
+	// taken on the way must keep its Query, Credentials and Revoked
+	// answers.
+	carol := DeterministicKey("carol")
+	type view struct {
+		snap  *Snapshot
+		value string
+		creds []*Assertion
+		carol bool
+	}
+	var views []view
+	record := func() {
+		snap := s.Snapshot()
+		res, err := snap.Query(attrs, bob.Principal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, view{snap, res.Value, snap.Credentials(), snap.Revoked(carol.Principal)})
+	}
+	add := func(key *KeyPair, lic Principal, value string) *Assertion {
+		t.Helper()
+		c := mustSign(t, key, AssertionSpec{
+			Licensees:  LicenseesOr(lic),
+			Conditions: `app_domain == "DisCFS" -> "` + value + `";`,
+		})
+		if err := s.AddCredential(c); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	record()
+	rw := add(admin, bob.Principal, "RW")
+	add(admin, carol.Principal, "RWX")
+	add(carol, bob.Principal, "RWX")
+	record()
+	if !s.RevokeCredential(rw.SignatureValue) {
+		t.Fatal("RevokeCredential removed nothing")
+	}
+	record()
+	if n := s.RevokeKey(carol.Principal); n != 1 {
+		t.Fatalf("RevokeKey removed %d credentials, want 1", n)
+	}
+	record()
+	add(admin, bob.Principal, "WX")
+	add(admin, bob.Principal, "RX")
+	record()
+	want := []struct {
+		value string
+		creds int
+		carol bool
+	}{{"R", 1, false}, {"RWX", 4, false}, {"RWX", 3, false}, {"R", 2, true}, {"RX", 4, true}}
+	for i, v := range views {
+		res, err := v.snap.Query(attrs, bob.Principal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		creds := v.snap.Credentials()
+		if res.Value != v.value || res.Value != want[i].value {
+			t.Errorf("snapshot %d: query = %q, was %q, want %q", i, res.Value, v.value, want[i].value)
+		}
+		if len(creds) != len(v.creds) || len(creds) != want[i].creds {
+			t.Errorf("snapshot %d: %d credentials, was %d, want %d", i, len(creds), len(v.creds), want[i].creds)
+		} else {
+			for j := range creds {
+				if creds[j] != v.creds[j] {
+					t.Errorf("snapshot %d: credential %d changed", i, j)
+				}
+			}
+		}
+		if got := v.snap.Revoked(carol.Principal); got != v.carol || got != want[i].carol {
+			t.Errorf("snapshot %d: carol revoked = %v, was %v, want %v", i, got, v.carol, want[i].carol)
+		}
+	}
+}
+
+// TestAddCredentialAllocs: adding a credential publishes a snapshot at
+// the cost of the change, so its allocation count must not grow with
+// the number of credentials already installed.
+func TestAddCredentialAllocs(t *testing.T) {
+	s, admin, _, _ := newTestSession(t)
+	cred := func(i int) *Assertion {
+		return mustSign(t, admin, AssertionSpec{
+			Licensees:  LicenseesOr(Principal(fmt.Sprintf("collaborator-%d", i))),
+			Conditions: fmt.Sprintf(`app_domain == "DisCFS" && HANDLE == "%d" -> "R";`, i),
+		})
+	}
+	const preload, runs = 8192, 32
+	for i := 0; i < preload; i++ {
+		if err := s.AddCredential(cred(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	extra := make([]*Assertion, runs+1)
+	for i := range extra {
+		extra[i] = cred(preload + i)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := s.AddCredential(extra[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if n := s.Snapshot().NumCredentials(); n != preload+runs+1 {
+		t.Fatalf("%d credentials installed, want %d", n, preload+runs+1)
+	}
+	if allocs > 64 {
+		t.Errorf("AddCredential onto %d credentials: %.0f allocations, want <= 64", preload, allocs)
 	}
 }
 
@@ -166,7 +330,8 @@ func TestVolatileAttributeTracking(t *testing.T) {
 // TestQueryLockFreeUnderMutation runs parallel queries against
 // concurrent credential additions and revocations (-race), checking
 // that observed generations are monotonic and results are always one of
-// the legal values for the evolving session.
+// the legal values for the evolving session. Alice's index entry is
+// appended to and rebuilt while readers walk it.
 func TestQueryLockFreeUnderMutation(t *testing.T) {
 	s, admin, bob, alice := newTestSession(t)
 	adminToBob := mustSign(t, admin, AssertionSpec{
@@ -174,6 +339,15 @@ func TestQueryLockFreeUnderMutation(t *testing.T) {
 		Conditions: `app_domain == "DisCFS" -> "RW";`,
 	})
 	if err := s.AddCredential(adminToBob); err != nil {
+		t.Fatal(err)
+	}
+	bobToAlice := func(i int) *Assertion {
+		return mustSign(t, bob, AssertionSpec{
+			Licensees:  LicenseesOr(alice.Principal),
+			Conditions: fmt.Sprintf(`app_domain == "DisCFS" && churn != "%d" -> "R";`, i),
+		})
+	}
+	if err := s.AddCredential(bobToAlice(-1)); err != nil {
 		t.Fatal(err)
 	}
 	attrs := map[string]string{"app_domain": "DisCFS"}
@@ -204,6 +378,11 @@ func TestQueryLockFreeUnderMutation(t *testing.T) {
 					failures.Add(1)
 					return
 				}
+				res, err = snap.Query(attrs, alice.Principal)
+				if err != nil || res.Value != "R" || len(snap.Credentials()) != snap.NumCredentials() {
+					failures.Add(1)
+					return
+				}
 			}
 		}()
 	}
@@ -227,12 +406,19 @@ func TestQueryLockFreeUnderMutation(t *testing.T) {
 			if i%17 == 16 {
 				s.RevokeKey(k.Principal)
 			}
+			toAlice := bobToAlice(i)
+			if err := s.AddCredential(toAlice); err != nil {
+				failures.Add(1)
+				return
+			}
+			if i%2 == 0 {
+				s.RevokeCredential(toAlice.SignatureValue)
+			}
 		}
 	}()
 	writer.Wait()
 	close(stop)
 	readers.Wait()
-	_ = alice
 	if n := failures.Load(); n != 0 {
 		t.Fatalf("%d reader/writer failures", n)
 	}
